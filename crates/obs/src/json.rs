@@ -10,6 +10,12 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser is
+/// recursive descent and `rpb serve` feeds it frames off the network, so
+/// without a bound a frame of `[[[[…` overflows the connection thread's
+/// stack; the reports and wire messages this module exists for nest 4 deep.
+pub const MAX_NESTING: usize = 128;
+
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -84,10 +90,15 @@ impl Json {
     }
 
     /// Parses a JSON document (the subset this module writes, which is the
-    /// standard grammar minus exotic number forms it never needs).
+    /// standard grammar minus exotic number forms it never needs). Nesting
+    /// beyond [`MAX_NESTING`] is an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -156,6 +167,8 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -194,8 +207,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') | Some(b'f') | Some(b'n') => {
                 if self.eat_keyword("true") {
@@ -211,6 +224,20 @@ impl Parser<'_> {
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one container with the nesting bound applied.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!(
+                "nesting deeper than {MAX_NESTING} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -399,6 +426,25 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("true false").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&arrays(MAX_NESTING)).is_ok());
+        assert_eq!(
+            Json::parse(&arrays(MAX_NESTING + 1)).unwrap_err(),
+            format!("nesting deeper than {MAX_NESTING} at byte {MAX_NESTING}")
+        );
+        let objects = |n: usize| "{\"k\":".repeat(n) + "1" + &"}".repeat(n);
+        assert!(Json::parse(&objects(MAX_NESTING)).is_ok());
+        assert!(Json::parse(&objects(MAX_NESTING + 1)).is_err());
+        // Siblings do not accumulate depth.
+        assert!(Json::parse(&format!("[{}]", vec!["[[]]"; 1000].join(","))).is_ok());
+        // What used to overflow the stack is a typed error.
+        assert!(Json::parse(&"[".repeat(1_000_000))
+            .unwrap_err()
+            .starts_with("nesting deeper than"));
     }
 
     #[test]

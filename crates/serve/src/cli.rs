@@ -83,7 +83,7 @@ pub fn run_serve_cli(args: &[String]) -> i32 {
             },
             "--backend" => match it.next().map(|s| s.parse::<BackendKind>()) {
                 Some(Ok(b)) => farm.backend = b,
-                Some(Err(e)) => return usage_error(SERVE_USAGE, &e),
+                Some(Err(e)) => return usage_error(SERVE_USAGE, &e.to_string()),
                 None => return usage_error(SERVE_USAGE, "--backend needs a value"),
             },
             "--workers" => match parse_usize(SERVE_USAGE, "--workers", it.next()) {

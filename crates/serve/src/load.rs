@@ -13,13 +13,11 @@
 use std::io::{self, BufReader, Write as _};
 use std::net::TcpStream;
 
-use rpb_fearless::ExecMode;
 use rpb_obs::Json;
 use rpb_parlay::exec::BackendKind;
 use rpb_suite::Scale;
 
 use crate::farm::FarmConfig;
-use crate::jobs::JobKind;
 use crate::proto::{self, Request, RequestKind};
 use crate::server::{Server, ServerConfig};
 use crate::trace;
@@ -43,9 +41,11 @@ pub struct Response {
 }
 
 impl Client {
-    /// Connects to a server.
+    /// Connects to a server, with `TCP_NODELAY` set (the transport
+    /// contract in the `proto` module docs).
     pub fn connect(addr: &str) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),
@@ -443,6 +443,16 @@ mod tests {
         for c in &report.checks {
             assert!(c.passed, "{}: {}", c.name, c.detail);
         }
+    }
+
+    #[test]
+    fn client_connects_with_nodelay_set() {
+        let server = Server::start(self_test_config(BackendKind::Rayon, tiny_scale())).unwrap();
+        let client = Client::connect(&server.local_addr().to_string()).unwrap();
+        assert!(client.writer.nodelay().unwrap());
+        assert!(client.reader.get_ref().nodelay().unwrap());
+        server.request_shutdown();
+        server.join();
     }
 
     #[test]

@@ -5,6 +5,20 @@
 //! dependency-free [`rpb_obs::Json`] parser/writer does the document
 //! work, keeping the workspace's offline dependency policy intact.
 //!
+//! Transport contract: **one frame → one `write` → one TCP segment**, on
+//! both ends, always. [`write_frame`] hands the length prefix and the
+//! payload to the socket as a single buffer, and both `server::accept_loop`
+//! and `load::Client::connect` set `TCP_NODELAY`. Why: with Nagle's
+//! algorithm on, a small segment sent while an earlier one is un-ACKed
+//! waits for that ACK, and the peer's delayed-ACK timer holds the ACK
+//! ~40 ms when it has nothing to send back. Prefix and body as two writes
+//! hit exactly that — 44 ms per direction, 88 ms per request over a
+//! sub-millisecond job. The single write removes the wait inside a frame;
+//! `TCP_NODELAY` removes it between pipelined frames (bursts, the shed
+//! path). No compiler check covers this: the reader/writer split is proved
+//! race-free, and says nothing about two threads each waiting on the
+//! other's timer.
+//!
 //! Error taxonomy (what satellite connections rely on):
 //!
 //! * **Recoverable** — a frame that arrived intact but does not parse as
@@ -34,7 +48,9 @@ pub const SCHEMA: &str = "rpb-jobs-v1";
 /// few KiB; anything near the cap is a broken or hostile stream.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes one frame — length prefix and payload in a single `write_all`,
+/// so the frame reaches a socket as one segment (see the module docs) —
+/// and flushes.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME_BYTES {
@@ -46,8 +62,10 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
             ),
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -56,14 +74,15 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
 /// length prefixes are errors (fatal — see the module docs).
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
-    // Hand-rolled first-byte read so EOF-before-anything is clean.
-    match r.read(&mut len_buf[..1]) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-            return read_frame(r);
+    // Hand-rolled first-byte read so EOF-before-anything is clean; a loop,
+    // not recursion, so a signal storm cannot grow the stack.
+    loop {
+        match r.read(&mut len_buf[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
         }
-        Err(e) => return Err(e),
     }
     r.read_exact(&mut len_buf[1..])?;
     let len = u32::from_be_bytes(len_buf) as usize;
@@ -263,6 +282,71 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
+    /// Records the size of every `write` call it receives.
+    struct CountingWriter {
+        writes: Vec<usize>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_exactly_one_write() {
+        let mut w = CountingWriter { writes: Vec::new() };
+        let payload = "{\"schema\":\"rpb-jobs-v1\",\"id\":1,\"kind\":\"stats\"}";
+        write_frame(&mut w, payload).unwrap();
+        assert_eq!(w.writes, [4 + payload.len()]);
+        write_frame(&mut w, "").unwrap();
+        assert_eq!(w.writes, [4 + payload.len(), 4]);
+
+        // Over the cap: rejected before a single byte leaves.
+        let mut w = CountingWriter { writes: Vec::new() };
+        let err = write_frame(&mut w, &"x".repeat(MAX_FRAME_BYTES + 1)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(w.writes.is_empty());
+        // At the cap: still one write.
+        write_frame(&mut w, &"x".repeat(MAX_FRAME_BYTES)).unwrap();
+        assert_eq!(w.writes, [4 + MAX_FRAME_BYTES]);
+    }
+
+    /// Fails with `Interrupted` a set number of times, then reads through.
+    struct InterruptedReader {
+        interrupts_left: usize,
+        inner: Cursor<Vec<u8>>,
+    }
+
+    impl Read for InterruptedReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.interrupts_left > 0 {
+                self.interrupts_left -= 1;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried_without_recursion() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, "payload").unwrap();
+        // Deep enough that one stack frame per interrupt would overflow.
+        let mut r = InterruptedReader {
+            interrupts_left: 1_000_000,
+            inner: Cursor::new(buf),
+        };
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"payload");
+        assert_eq!(r.interrupts_left, 0);
+        assert!(read_frame(&mut r).unwrap().is_none());
+    }
+
     #[test]
     fn requests_round_trip_through_the_wire_format() {
         for kind in [
@@ -292,6 +376,11 @@ mod tests {
         let err = Request::parse(b"{nope").unwrap_err();
         assert_eq!(err.id, None);
         assert!(err.message.contains("bad JSON"));
+
+        // Hostile nesting: the parser's depth bound, not a stack overflow.
+        let err = Request::parse("[".repeat(100_000).as_bytes()).unwrap_err();
+        assert_eq!(err.id, None);
+        assert!(err.message.starts_with("bad JSON: nesting deeper than"));
 
         // Valid JSON, wrong schema: id recovered for correlation.
         let err = Request::parse(b"{\"schema\":\"rpb-jobs-v9\",\"id\":42}").unwrap_err();

@@ -201,6 +201,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             Err(_) => continue,
         };
         metrics::SERVE_CONNS_ACCEPTED.add(1);
+        // The transport contract (`proto` module docs): a response frame
+        // never waits behind an un-ACKed predecessor.
+        if stream.set_nodelay(true).is_err() {
+            continue;
+        }
         let reg_socket = match stream.try_clone() {
             Ok(c) => c,
             Err(_) => continue,
@@ -472,13 +477,20 @@ mod tests {
         let server = tiny_server(8);
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
 
-        // Intact frame, broken request: recoverable.
-        write_frame(&mut conn, "{definitely not json").unwrap();
-        let payload = read_frame(&mut conn).unwrap().expect("error frame");
-        let doc = Json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
-        let (id, status, body) = proto::split_response(&doc).unwrap();
-        assert_eq!((id, status.as_str()), (None, "error"));
-        assert!(body.as_str().unwrap().contains("bad JSON"));
+        // Intact frames, broken requests: recoverable. The second would
+        // overflow the 2 MiB connection thread without the JSON parser's
+        // nesting bound.
+        for (frame, reason) in [
+            ("{definitely not json".to_string(), "bad JSON"),
+            ("[".repeat(100_000), "bad JSON: nesting deeper than"),
+        ] {
+            write_frame(&mut conn, &frame).unwrap();
+            let payload = read_frame(&mut conn).unwrap().expect("error frame");
+            let doc = Json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
+            let (id, status, body) = proto::split_response(&doc).unwrap();
+            assert_eq!((id, status.as_str()), (None, "error"));
+            assert!(body.as_str().unwrap().starts_with(reason));
+        }
 
         // The same connection still serves real work.
         let doc = roundtrip(
@@ -494,6 +506,44 @@ mod tests {
         server.request_shutdown();
         let stats = server.join();
         assert_eq!(stats.completed, 1);
+    }
+
+    #[test]
+    fn accepted_sockets_have_nodelay_set() {
+        let server = tiny_server(4);
+        let _conn = TcpStream::connect(server.local_addr()).unwrap();
+        // Until the accept loop has registered the connection.
+        loop {
+            let conns = server.shared.conns.lock().unwrap();
+            if let Some(reg) = conns.first() {
+                assert!(reg.socket.nodelay().unwrap());
+                break;
+            }
+            drop(conns);
+            std::thread::yield_now();
+        }
+        server.request_shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn stats_round_trips_carry_no_timer() {
+        let server = tiny_server(4);
+        let mut client = crate::load::Client::connect(&server.local_addr().to_string()).unwrap();
+        // A frame split across two segments costs a delayed-ACK wait (~44 ms)
+        // per direction: 50 round trips took 4.4 s. One segment per frame
+        // makes them ~5 ms, so the limit has a 200x margin either way.
+        let start = std::time::Instant::now();
+        for _ in 0..50 {
+            client.stats().unwrap();
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "50 stats round trips took {elapsed:?}"
+        );
+        server.request_shutdown();
+        server.join();
     }
 
     #[test]
