@@ -81,6 +81,7 @@ impl Default for VerifyConfig {
 }
 
 /// Result of a matrix sweep.
+#[derive(Debug)]
 pub struct VerifyOutcome {
     /// The rendered matrix + failure details + summary line.
     pub rendered: String,

@@ -166,7 +166,9 @@ where
 /// * every other worker stops at its next scheduling point — a task
 ///   already mid-execution runs to completion first;
 /// * tasks still queued are drained and dropped (their destructors run),
-///   counted in [`ExecutorError::tasks_drained`];
+///   counted in [`ExecutorError::tasks_drained`] — by each worker as it
+///   stops, not after the join, so a *blocking* task that is still
+///   running sees the endpoints a queued task owned disconnect;
 /// * the *first* panic's payload is captured; payloads of concurrent
 ///   panics from other workers are dropped.
 pub fn try_execute<T, F>(
@@ -222,6 +224,7 @@ where
     let total_tasks = AtomicUsize::new(0);
     let total_idle = AtomicUsize::new(0);
     let panicked = AtomicBool::new(false);
+    let drained = AtomicUsize::new(0);
     let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     // One worker loop, shared by both substrates by reference.
     let worker = || {
@@ -233,6 +236,10 @@ where
         let mut idle = 0usize;
         loop {
             if panicked.load(Ordering::Acquire) {
+                // Drop what is queued now, not after the join: a blocking
+                // task that is still running may be waiting on a channel
+                // endpoint that a queued task owns.
+                drained.fetch_add(mq.drain().len(), Ordering::Relaxed);
                 break;
             }
             match mq.pop() {
@@ -253,8 +260,8 @@ where
                                 *slot = Some(payload);
                             }
                             drop(slot);
+                            // The next turn of the loop drains and leaves.
                             panicked.store(true, Ordering::Release);
-                            break;
                         }
                     }
                 }
@@ -289,8 +296,9 @@ where
     rpb_obs::metrics::EXEC_TASKS.add(stats.tasks as u64);
     rpb_obs::metrics::EXEC_IDLE_SPINS.add(stats.idle_spins as u64);
     if panicked.load(Ordering::Acquire) {
-        // Drop everything still queued so task payloads are not leaked.
-        let drained = mq.drain().len();
+        // Drop what tasks that were mid-execution pushed after the
+        // workers' own drains, so no task payload is leaked.
+        let drained = drained.into_inner() + mq.drain().len();
         let payload = first_panic
             .into_inner()
             .unwrap_or_else(|poison| poison.into_inner())
@@ -422,6 +430,44 @@ mod tests {
             n,
             "every payload dropped exactly once"
         );
+    }
+
+    #[test]
+    fn a_panic_drops_queued_tasks_while_a_blocking_task_still_runs() {
+        // The pipeline's stage workers are blocking tasks: one that is
+        // still running may wait on an endpoint a queued task owns. One
+        // internal queue pops in strict priority order, so the two
+        // threads take tasks 0 and 1 and task 2 stays queued.
+        use std::sync::mpsc;
+        type Task = Box<dyn FnOnce() + Send>;
+        let (started, blocker_started) = mpsc::channel::<()>();
+        let (held, released) = mpsc::channel::<()>();
+        let tasks: Vec<(u64, Task)> = vec![
+            (
+                0,
+                Box::new(move || {
+                    blocker_started.recv().expect("task 1 starts");
+                    panic!("injected while task 1 blocks");
+                }),
+            ),
+            (
+                1,
+                Box::new(move || {
+                    started.send(()).expect("task 0 waits for this");
+                    // Returns once task 2, never run, is dropped.
+                    assert!(released.recv().is_err());
+                }),
+            ),
+            (2, Box::new(move || drop(held))),
+        ];
+        let (done, watchdog) = mpsc::channel();
+        std::thread::spawn(move || done.send(try_execute(2, 1, tasks, |_, task, _| task())));
+        let err = watchdog
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the run hung on the queued task's endpoint")
+            .expect_err("task 0 panics");
+        assert_eq!(err.message(), "injected while task 1 blocks");
+        assert_eq!((err.tasks_completed, err.tasks_drained), (1, 1));
     }
 
     #[test]

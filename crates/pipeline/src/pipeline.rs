@@ -129,7 +129,8 @@ pub struct PipelineStats {
     pub items_in: u64,
     /// Items the sink folded out of the last channel.
     pub items_out: u64,
-    /// High-water mark of items resident in channels across the run.
+    /// High-water mark of items resident in channels across the run, as
+    /// read by a gauge that never exceeds the true occupancy.
     pub max_inflight: u64,
 }
 
@@ -152,9 +153,9 @@ impl PipelineStats {
 /// Run-wide state shared by every worker task.
 #[derive(Default)]
 struct Shared {
-    /// Signed: an item's recv can be counted before its send on another
-    /// thread (the pair is two relaxed updates), so transient negatives
-    /// are legal; the max only tracks non-negative observations.
+    /// Signed: an item's recv is counted before its send (a parked
+    /// consumer un-counts ahead of the item it waits for), so negatives
+    /// are legal; the max only tracks positive observations.
     inflight: AtomicI64,
     max_inflight: AtomicU64,
     items_in: AtomicU64,
@@ -166,7 +167,9 @@ struct Shared {
 
 /// Sends `item`, then counts it into the in-flight gauge. Counting after
 /// the (possibly blocking) send means a producer parked at a full queue
-/// never inflates the gauge past real channel occupancy.
+/// never inflates the gauge past real channel occupancy; with
+/// [`recv_counted`] un-counting early, the gauge reads at most the true
+/// occupancy at every instant.
 fn send_counted<T: Send>(sh: &Shared, tx: &dyn Sender<T>, item: T) -> Result<(), SendError<T>> {
     tx.send(item)?;
     obs::PIPELINE_SENDS.add(1);
@@ -177,11 +180,16 @@ fn send_counted<T: Send>(sh: &Shared, tx: &dyn Sender<T>, item: T) -> Result<(),
     Ok(())
 }
 
-/// Receives one item and counts it out of the in-flight gauge.
+/// Counts one item out of the in-flight gauge, then receives it.
+/// Un-counting before the (possibly blocking) recv means a consumer that
+/// holds an item it has yet to un-count never inflates the gauge past
+/// real channel occupancy; a disconnect took nothing, so it re-counts.
 fn recv_counted<T: Send>(sh: &Shared, rx: &dyn Receiver<T>) -> Result<T, RecvError> {
-    let item = rx.recv()?;
-    obs::PIPELINE_RECVS.add(1);
     sh.inflight.fetch_sub(1, Ordering::Relaxed);
+    let item = rx.recv().inspect_err(|_| {
+        sh.inflight.fetch_add(1, Ordering::Relaxed);
+    })?;
+    obs::PIPELINE_RECVS.add(1);
     Ok(item)
 }
 

@@ -12,8 +12,9 @@
 //! * [`dedup_stream`] — per-chunk distinct sets, concatenated and
 //!   canonicalized (global sort + dedup) at the end,
 //! * [`bfs_stream`] — level-synchronous BFS with pipelined frontier
-//!   generation: one pipeline per level expands frontier chunks, claiming
-//!   vertices with the same CAS discipline as
+//!   generation: one pipeline per traversal, resident across levels (the
+//!   sink feeds each next frontier back to the source), expands frontier
+//!   chunks, claiming vertices with the same CAS discipline as
 //!   [`bfs_frontier`](crate::bfs_frontier), so the claimed *set* per
 //!   level is deterministic even though chunk arrival order is not.
 //!
@@ -25,7 +26,9 @@
 //! mark ≤ channel capacity × channels) the verifier asserts per cell:
 //! streaming is only worth its name if memory stays bounded.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 
 use rpb_graph::Graph;
 use rpb_parlay::exec::{self, BackendKind};
@@ -162,16 +165,14 @@ pub fn dedup_stream(
 }
 
 /// Streaming BFS hop distances from `src`: level-synchronous like
-/// [`bfs_frontier`], but each level's frontier is expanded by a pipeline
-/// — chunks of the frontier flow through a farm that CAS-claims
-/// neighbours, and the sink collects the next frontier. The next
-/// frontier is sorted between levels so the chunk partition (and with it
-/// every pipeline counter) is a deterministic function of the graph.
+/// [`bfs_frontier`], with every level expanded by the *same* resident
+/// pipeline ([`drive_levels`]) — chunks of the frontier flow through a
+/// farm that CAS-claims neighbours, the sink collects and sorts the next
+/// frontier and feeds it back to the source.
 ///
 /// Returns the distance array (identical to [`bfs::run_seq`]) and the
-/// pipeline accounting aggregated across levels (items summed,
-/// high-water mark maxed — the per-level in-flight bound is the same at
-/// every level, so the aggregate honors it iff each level did).
+/// accounting of the traversal's one pipeline run (its items are the
+/// frontier chunks of all levels, `Σ ⌈|frontier| / chunk⌉`).
 pub fn bfs_stream(
     g: &Graph,
     src: usize,
@@ -187,66 +188,97 @@ pub fn bfs_stream(
     }
     let dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(bfs_frontier::INF)).collect();
     dist[src].store(0, Ordering::Relaxed);
-    let dist_ref = &dist;
-    let mut frontier: Vec<u32> = vec![src as u32];
-    let mut level = 0u64;
-    let mut stats = PipelineStats::default();
-    while !frontier.is_empty() {
-        level += 1;
-        let (mut next, level_stats) = Pipeline::source(
-            cfg.pipeline(),
-            frontier.chunks(cfg.chunk).map(<[u32]>::to_vec),
-        )
-        .and_then(|p| {
-            p.stage("bfs-expand", cfg.workers, move |chunk: Vec<u32>| {
-                let mut claimed = Vec::new();
-                for &u in &chunk {
-                    for &v in g.neighbors(u as usize) {
-                        // Claim v for this level; exactly one parent
-                        // wins (the same discipline as bfs_frontier).
-                        if dist_ref[v as usize]
-                            .compare_exchange(
-                                bfs_frontier::INF,
-                                level,
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            )
-                            .is_ok()
-                        {
-                            claimed.push(v);
-                        }
-                    }
+    let stats = drive_levels(src as u32, cfg, |level, chunk| {
+        let mut claimed = Vec::new();
+        for &u in &chunk {
+            for &v in g.neighbors(u as usize) {
+                // Claim v for this level; exactly one parent wins (the
+                // same discipline as bfs_frontier).
+                if dist[v as usize]
+                    .compare_exchange(
+                        bfs_frontier::INF,
+                        level,
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    )
+                    .is_ok()
+                {
+                    claimed.push(v);
                 }
-                claimed
-            })
-        })
-        .and_then(|p| {
-            p.run_fold(Vec::new(), |mut acc: Vec<u32>, claimed| {
-                acc.extend(claimed);
-                acc
-            })
-        })
-        .map_err(|e| stream_error("bfs", e))?;
-        next.sort_unstable();
-        stats = merge_stats(stats, level_stats);
-        frontier = next;
-    }
+            }
+        }
+        claimed
+    })?;
     Ok((dist.into_iter().map(AtomicU64::into_inner).collect(), stats))
 }
 
-/// Folds one level's accounting into the run aggregate: shape fields
-/// come from the latest level (identical at every level), items sum,
-/// and the high-water mark is the max across levels.
-fn merge_stats(acc: PipelineStats, level: PipelineStats) -> PipelineStats {
-    PipelineStats {
-        stages: level.stages,
-        workers: level.workers,
-        channels: level.channels,
-        capacity: level.capacity,
-        items_in: acc.items_in + level.items_in,
-        items_out: acc.items_out + level.items_out,
-        max_inflight: acc.max_inflight.max(level.max_inflight),
-    }
+/// The level loop of [`bfs_stream`] as one resident pipeline: source →
+/// `bfs-expand` farm → sink, started once and kept across all levels by
+/// a sink→source feedback edge. `expand(level, chunk)` yields the
+/// vertices the chunk claims for `level`.
+///
+/// Protocol: the source takes a frontier off the edge, emits it as
+/// `(level, chunk)` items and parks on the edge again; the sink counts
+/// the level's `⌈|frontier| / chunk⌉` results in, sorts the claimed set
+/// (so the chunk partition, and with it every pipeline counter, is a
+/// function of the graph) and hands it back. An empty frontier ends the
+/// source, which closes the channels in the usual ownership-driven
+/// order. The edge is unbounded, so the sink never blocks on it, and
+/// holds at most one frontier — which a level-synchronous BFS keeps
+/// whole anyway; the `capacity × channels` bound is on chunks.
+///
+/// Unwinding: the fold closure owns the edge's sender, so a sink panic —
+/// or the sink ending because the whole farm died — disconnects it and
+/// un-parks the source. A panic in one worker of a wider farm loses a
+/// chunk the sink would wait for forever, with the survivors parked
+/// upstream; that worker sends the empty frontier itself, through a
+/// `Weak` that cannot keep the edge alive, before it resumes unwinding.
+fn drive_levels<C: IntoIterator<Item = u32> + Send + 'static>(
+    src: u32,
+    cfg: StreamConfig,
+    expand: impl Fn(u64, Vec<u32>) -> C + Send + Sync,
+) -> Result<PipelineStats, SuiteError> {
+    let (feedback, parked) = mpsc::channel::<Vec<u32>>();
+    feedback.send(vec![src]).expect("receiver is in scope");
+    let feedback = Arc::new(feedback);
+    let stop = Arc::downgrade(&feedback);
+    let (mut frontier, mut at, mut level) = (Vec::new(), 0, 0u64);
+    let source = std::iter::from_fn(move || {
+        if at == frontier.len() {
+            frontier = parked.recv().ok().filter(|next| !next.is_empty())?;
+            (at, level) = (0, level + 1);
+        }
+        let chunk = frontier[at..frontier.len().min(at + cfg.chunk)].to_vec();
+        at += chunk.len();
+        Some((level, chunk))
+    });
+    let (mut next, mut pending) = (Vec::new(), 1usize);
+    Pipeline::source(cfg.pipeline(), source)
+        .and_then(|p| {
+            p.stage("bfs-expand", cfg.workers, move |(level, chunk)| {
+                catch_unwind(AssertUnwindSafe(|| expand(level, chunk))).unwrap_or_else(|panic| {
+                    if let Some(feedback) = stop.upgrade() {
+                        let _ = feedback.send(Vec::new());
+                    }
+                    resume_unwind(panic)
+                })
+            })
+        })
+        .and_then(|p| {
+            p.run_fold((), move |(), claimed| {
+                next.extend(claimed);
+                pending -= 1;
+                if pending == 0 {
+                    next.sort_unstable();
+                    pending = next.len().div_ceil(cfg.chunk);
+                    // Fails only once the source is gone, and then this
+                    // sink's recv is about to report end-of-stream.
+                    let _ = feedback.send(std::mem::take(&mut next));
+                }
+            })
+        })
+        .map(|((), stats)| stats)
+        .map_err(|e| stream_error("bfs", e))
 }
 
 /// The in-flight high-water-mark claim every streaming cell must honor.
@@ -407,13 +439,26 @@ mod tests {
 
     #[test]
     fn bfs_stream_matches_batch_on_both_channels() {
+        rpb_multiqueue::backend::ensure_registered();
         for kind in [GraphKind::Link, GraphKind::Road] {
             let g = inputs::graph(kind, 2000);
             let want = bfs::run_seq(&g, 0);
             for channel in ALL_CHANNELS {
-                let (got, stats) = bfs_stream(&g, 0, cfg(channel)).expect("stream");
-                assert_eq!(got, want, "{kind:?} {channel:?}");
-                assert!(stats.inflight_bounded(), "{stats:?}");
+                for backend in exec::ALL_BACKENDS {
+                    for workers in [1, 2, 4] {
+                        for chunk in [1, 512, 4096] {
+                            let shape = StreamConfig {
+                                backend,
+                                chunk,
+                                workers,
+                                ..cfg(channel)
+                            };
+                            let (got, stats) = bfs_stream(&g, 0, shape).expect("stream");
+                            assert_eq!(got, want, "{kind:?} {shape:?}");
+                            assert!(stats.inflight_bounded(), "{shape:?} {stats:?}");
+                        }
+                    }
+                }
             }
         }
     }
@@ -429,8 +474,94 @@ mod tests {
         };
         let (_, a) = hist_stream(&data, 64, data.len() as u64, one).expect("stream");
         let (_, b) = hist_stream(&data, 64, data.len() as u64, one).expect("stream");
-        assert_eq!(a, b);
+        // All but the high-water mark, which depends on the schedule.
+        let flow = |s| PipelineStats {
+            max_inflight: 0,
+            ..s
+        };
+        assert_eq!(flow(a), flow(b));
         assert_eq!(a.items_in, data.len().div_ceil(one.chunk) as u64);
+    }
+
+    /// Runs `f` on a thread of its own; a hang fails the test instead of
+    /// stalling the suite.
+    fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, watchdog) = mpsc::channel();
+        std::thread::spawn(move || done.send(f()));
+        watchdog
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the traversal hung (or its thread panicked)")
+    }
+
+    #[test]
+    fn panic_behind_a_parked_source_is_a_typed_error_not_a_hang() {
+        // A path: the frontier of level l is {l}, one chunk, so while its
+        // expand step runs the source has nothing left to emit — its only
+        // way forward is the feedback edge. The panic strikes at level 3;
+        // at 2 workers the farm survives it, parked upstream.
+        const DEPTH: u32 = 8;
+        let step = |level: u64, u: u32, blame: &str| {
+            assert!(level != 3, "injected {blame} panic");
+            u + 1
+        };
+        let in_expand = move |level, chunk: Vec<u32>| -> Vec<u32> {
+            chunk
+                .into_iter()
+                .map(|u| step(level, u, "expand"))
+                .collect()
+        };
+        // Lazy: the sink's `extend` is what runs the map.
+        let in_sink =
+            move |level, chunk: Vec<u32>| chunk.into_iter().map(move |u| step(level, u, "sink"));
+        let clean = |_, chunk: Vec<u32>| -> Vec<u32> {
+            chunk
+                .into_iter()
+                .filter(|&u| u < DEPTH)
+                .map(|u| u + 1)
+                .collect()
+        };
+        rpb_multiqueue::backend::ensure_registered();
+        for backend in exec::ALL_BACKENDS {
+            for channel in ALL_CHANNELS {
+                for workers in [1, 2] {
+                    let cfg = StreamConfig {
+                        backend,
+                        capacity: 1,
+                        workers,
+                        ..cfg(channel)
+                    };
+                    let cell = format!("{backend:?}/{channel:?}/{workers}");
+                    let runs = [
+                        (
+                            within_watchdog(move || drive_levels(0, cfg, in_expand)),
+                            "`bfs-expand`",
+                            "injected expand panic",
+                        ),
+                        (
+                            within_watchdog(move || drive_levels(0, cfg, in_sink)),
+                            "`sink`",
+                            "injected sink panic",
+                        ),
+                    ];
+                    for (run, stage, message) in runs {
+                        match run.expect_err("the injected panic must surface") {
+                            SuiteError::InvariantViolated {
+                                benchmark: "bfs",
+                                reason,
+                            } => {
+                                assert!(reason.contains(stage), "{cell}: {reason}");
+                                assert!(reason.contains(message), "{cell}: {reason}");
+                            }
+                            other => panic!("{cell}: wrong error kind: {other}"),
+                        }
+                    }
+                    // The backend is unharmed: a clean traversal follows.
+                    let stats = within_watchdog(move || drive_levels(0, cfg, clean)).expect(&cell);
+                    assert_eq!(stats.items_in, u64::from(DEPTH) + 1, "{cell}");
+                    assert_eq!(stats.items_in, stats.items_out, "{cell}");
+                }
+            }
+        }
     }
 
     #[test]
