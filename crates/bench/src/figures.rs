@@ -304,14 +304,14 @@ pub fn fig4(w: &Workloads, threads: usize, reps: usize, recs: &mut Vec<RunRecord
 }
 
 /// Fig. 5(a): overhead of the checked `par_ind_iter_mut` vs unsafe,
-/// bracketed into *fresh* (mark-table pool disabled — every validation
-/// allocates) and *amortized* (pooled epoch tables + validation proofs,
+/// bracketed into *fresh* (validation pool disabled — every validation
+/// allocates) and *amortized* (pooled mark bitmaps + validation proofs,
 /// the steady-state fast path) checked runs so the reproduction shows how
 /// close "comfortable" gets to zero-cost.
 ///
 /// The brackets hold the algorithm fixed and vary only storage reuse:
-/// both run today's strategies (`u32` epoch stamps / `u64` bitset words,
-/// `Adaptive` selection), and fresh allocations are exact-size (the pool's
+/// both run today's strategies (block-private or shared `u64` bitmap
+/// words, `Adaptive` selection), and fresh allocations are exact-size (the pool's
 /// power-of-two rounding is skipped while it is disabled). "Fresh" is
 /// therefore *this* code paying full allocation cost per check — not a
 /// bit-identical replay of the historical `u8` mark table, which differed
@@ -373,7 +373,7 @@ pub fn fig5a(w: &Workloads, threads: usize, reps: usize, recs: &mut Vec<RunRecor
     }
     let _ = writeln!(
         out,
-        "(fresh = allocate-per-check, exact-size u32 epoch tables / bitsets, same strategy"
+        "(fresh = allocate-per-check, exact-size mark bitmaps, same strategy"
     );
     let _ = writeln!(
         out,

@@ -134,7 +134,6 @@ pub const HARD_COUNTERS: &[&str] = &[
     // The pooled fast path and validation proofs (PR 2's perf claims).
     "sngind_pool_hits",
     "sngind_pool_misses",
-    "sngind_epoch_rollovers",
     "sngind_proof_builds",
     "sngind_proof_reuses",
     // RngInd validation.
@@ -682,14 +681,15 @@ fn run_kernel_case(name: &str, w: &Workloads, reps: usize) -> TimingStats {
             rpb_parlay::radix_sort_u64(&mut v);
             std::hint::black_box(v);
         }),
-        // The fused bounds+uniqueness sweep against the epoch mark table
-        // (the strategy with the vectorized fast path). The offsets are a
-        // deterministic non-sequential permutation (evens then odds) so
-        // the sweep isn't a pure streaming walk.
+        // The fused bounds+uniqueness sweep over the shared bitset (the
+        // marking strategy with a vectorized fast path; `MarkTable`'s
+        // block-private sweep is one scalar loop under either pin). The
+        // offsets are a deterministic non-sequential permutation (evens
+        // then odds) so the sweep isn't a pure streaming walk.
         "kernel-sngind-validate" => {
             let offsets: Vec<usize> = (0..len).step_by(2).chain((1..len).step_by(2)).collect();
             time_best(reps, || {
-                snd_ind::validate_offsets(&offsets, len, UniquenessCheck::MarkTable)
+                snd_ind::validate_offsets(&offsets, len, UniquenessCheck::Bitset)
                     .expect("kernel-sngind-validate: a permutation validates");
                 std::hint::black_box(&offsets);
             })

@@ -100,13 +100,12 @@ pub struct RunRecord {
     /// (schema v2).
     pub mad_ns: u128,
     /// Validation-cost regime for checked-mode runs that vary it:
-    /// `"fresh"` (mark-table pool disabled — every check allocates an
-    /// exact-size table) or `"amortized"` (pooled epoch tables and
-    /// validation proofs). Both regimes use the same strategies (`u32`
-    /// epoch stamps / bitsets, `Adaptive` selection) — the bracket varies
-    /// storage reuse only, not the algorithm; neither replays the
-    /// historical `u8` mark table. `None` for runs that don't bracket the
-    /// check.
+    /// `"fresh"` (validation pool disabled — every check allocates its
+    /// bitmaps, exact-size) or `"amortized"` (pooled bitmaps and
+    /// validation proofs). Both regimes use the same strategies (mark
+    /// bitmaps, `Adaptive` selection) — the bracket varies storage reuse
+    /// only, not the algorithm; neither replays the historical `u8` mark
+    /// table. `None` for runs that don't bracket the check.
     pub check: Option<&'static str>,
     /// Telemetry accumulated over warmup + all repetitions (all zeros
     /// unless built with `--features obs`).
@@ -325,7 +324,7 @@ pub fn render_report(doc: &Json) -> Result<String, String> {
     // measured time went into the dynamic checks? Telemetry accumulates
     // over warmup + reps, so normalize per execution. Fig. 5(a) runs are
     // tagged "fresh" (pool disabled, allocate-per-call) or "amortized"
-    // (pooled epoch tables + validation proofs); the pool hit/miss and
+    // (pooled mark bitmaps + validation proofs); the pool hit/miss and
     // proof-reuse counters show the fast path at work.
     let _ = writeln!(out, "\nCheck-overhead attribution (checked-mode runs):");
     let _ = writeln!(

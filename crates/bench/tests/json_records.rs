@@ -164,7 +164,7 @@ fn telemetry_is_populated_when_obs_is_on() {
         );
     }
     // Fresh runs disable the pool: every acquisition allocates (misses,
-    // never hits). Amortized runs reuse pooled epoch tables (hits).
+    // never hits). Amortized runs reuse pooled mark bitmaps (hits).
     for r in &checked {
         match r.check {
             Some("fresh") => {

@@ -1,67 +1,59 @@
-//! Pooled, epoch-stamped mark tables for the `SngInd` uniqueness check.
+//! Pooled word buffers for the `SngInd` uniqueness check.
 //!
-//! The naive mark-table check allocates and zeroes a fresh `len`-byte table
-//! on every call — for the hot call sites (isort passes, suffix-array
-//! ranking rounds, bench repetitions) that allocation dominates the check
-//! itself. This module amortizes it away:
+//! Both marking strategies keep one bit per target slot in `u64` words:
+//! [`UniquenessCheck::MarkTable`] cuts a buffer into block-private bitmaps
+//! it reads and writes as plain integers, [`UniquenessCheck::Bitset`]
+//! shares one bitmap between all tasks through atomic `fetch_or`. The hot
+//! call sites (isort passes, suffix-array ranking rounds, resident serve
+//! jobs) validate the same sizes over and over, so the buffers are pooled:
 //!
-//! * [`EpochMarks`] — a table of `AtomicU32` *epoch stamps*. A slot is
-//!   "marked" when it holds the table's current epoch; re-acquiring the
-//!   table bumps the epoch instead of re-zeroing, so steady-state
-//!   acquisition is `O(1)` regardless of capacity. Only when the 32-bit
-//!   epoch wraps around (once per ~4 billion acquisitions) is the table
-//!   re-zeroed.
-//! * [`AtomicBitset`] — one bit per slot packed into `AtomicU64` words:
-//!   8× less memory traffic than a byte table, at the cost of a word
-//!   zeroing pass (`len/64` words) per acquisition. The right trade for
-//!   large `len` where a pooled `u32` epoch table would be oversized.
-//! * A global best-fit **pool** for both table kinds, keyed by capacity.
-//!   Steady-state checks pop a table (pool hit: zero allocation) and
-//!   return it on drop. Oversized requests fall back to the classic
-//!   allocate-per-call path and are never retained.
+//! * One global best-fit **pool** of `Box<[AtomicU64]>` buffers, keyed by
+//!   capacity, serves both strategies. Steady-state checks pop a buffer
+//!   (pool hit: zero allocation) and return it on drop. Oversized requests
+//!   allocate per call and are never retained.
+//! * A buffer comes back with whatever bits its last holder left: each
+//!   strategy zeroes the words it is about to use. A bitmap is 1/64 of the
+//!   target's slot count in words, so that pass is small next to the sweep.
+//! * The words are `AtomicU64` so that the shared strategy needs no
+//!   conversion; an exclusive holder reaches them as plain integers through
+//!   [`AtomicU64::get_mut`] — no atomic instruction, no `unsafe`.
 //!
 //! # Retention bound
 //!
-//! Pooled tables live in process-global statics for the lifetime of the
-//! program (or until [`clear`]). The steady-state footprint is bounded:
-//! each pool retains at most [`MAX_POOL_TABLES`] tables *and* at most a
-//! fixed byte budget ([`MAX_EPOCH_POOL_BYTES`] for epoch tables,
-//! [`MAX_BITSET_POOL_BYTES`] for bitsets — ≤ 192 MiB combined, worst
-//! case). When a release would exceed either bound, the smallest tables
-//! are evicted first: a large table serves every smaller request, so it
-//! has the highest reuse value per retained byte. Call [`clear`] to drop
-//! everything eagerly (e.g. between memory-sensitive phases).
+//! Pooled buffers live in a process-global static for the lifetime of the
+//! program (or until [`clear`]). The steady-state footprint is bounded: the
+//! pool retains at most [`MAX_POOL_TABLES`] buffers *and* at most
+//! [`MAX_POOL_BYTES`] (64 MiB). When a release would exceed either bound,
+//! the smallest buffers are evicted first: a large buffer serves every
+//! smaller request, so it has the highest reuse value per retained byte.
+//! Call [`clear`] to drop everything eagerly (e.g. between
+//! memory-sensitive phases).
 //!
 //! Pool traffic is counted twice: in always-on local [`PoolStats`] (plain
 //! relaxed atomics, touched once per *validation*, not per element — cheap
 //! enough to keep unconditionally) and in the feature-gated
 //! `rpb_obs::metrics` counters that feed the bench records.
+//!
+//! [`UniquenessCheck::MarkTable`]: crate::snd_ind::UniquenessCheck::MarkTable
+//! [`UniquenessCheck::Bitset`]: crate::snd_ind::UniquenessCheck::Bitset
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Largest slot count the epoch-table pool will serve. A table of this
-/// capacity is `4 * MAX_POOLED_EPOCH_SLOTS` bytes (64 MiB); larger
-/// requests allocate per call (and [`UniquenessCheck::Adaptive`] prefers
-/// the bitset or sort strategies there instead).
+/// Largest buffer the pool will serve, in words (32 MiB: one bit for each
+/// of `1 << 28` slots). Larger requests allocate per call, and
+/// [`UniquenessCheck::Adaptive`] keeps its block-private bitmaps under it.
 ///
 /// [`UniquenessCheck::Adaptive`]: crate::snd_ind::UniquenessCheck::Adaptive
-pub const MAX_POOLED_EPOCH_SLOTS: usize = 1 << 24;
+pub const MAX_POOLED_WORDS: usize = 1 << 22;
 
-/// Largest slot count the bitset pool will serve (`1 << 28` bits =
-/// 32 MiB of words). Beyond this, bitsets allocate per call.
-pub const MAX_POOLED_BITSET_SLOTS: usize = 1 << 28;
-
-/// Tables retained per pool. More than this many concurrent validations
-/// of pool-eligible sizes overflow to allocate-per-call.
+/// Buffers retained by the pool. More than this many concurrent
+/// validations of pool-eligible sizes overflow to allocate-per-call.
 pub const MAX_POOL_TABLES: usize = 4;
 
-/// Byte budget for retained epoch tables (two max-capacity tables). A
-/// release that would exceed it evicts the smallest tables first.
-pub const MAX_EPOCH_POOL_BYTES: usize = 2 * 4 * MAX_POOLED_EPOCH_SLOTS;
-
-/// Byte budget for retained bitsets (two max-capacity bitsets).
-pub const MAX_BITSET_POOL_BYTES: usize = 2 * (MAX_POOLED_BITSET_SLOTS / 8);
+/// Byte budget for retained buffers (two max-capacity buffers). A release
+/// that would exceed it evicts the smallest buffers first.
+pub const MAX_POOL_BYTES: usize = 2 * 8 * MAX_POOLED_WORDS;
 
 /// Always-on pool telemetry (see also the `obs`-gated counters).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -70,25 +62,23 @@ pub struct PoolStats {
     pub hits: u64,
     /// Acquisitions that allocated fresh storage.
     pub misses: u64,
-    /// Epoch wraparounds that forced a full re-zero.
-    pub epoch_rollovers: u64,
 }
 
 static POOL_HITS: AtomicU64 = AtomicU64::new(0);
 static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
-static EPOCH_ROLLOVERS: AtomicU64 = AtomicU64::new(0);
 
 /// When false, every acquisition allocates and every release frees —
 /// the pre-pool allocate-per-call behaviour. The bench harness flips this
 /// to measure the *fresh* check cost against the *amortized* one.
 static POOL_ENABLED: AtomicBool = AtomicBool::new(true);
 
+static POOL: Mutex<Vec<Box<[AtomicU64]>>> = Mutex::new(Vec::new());
+
 /// Snapshot of the always-on pool statistics.
 pub fn stats() -> PoolStats {
     PoolStats {
         hits: POOL_HITS.load(Ordering::Relaxed),
         misses: POOL_MISSES.load(Ordering::Relaxed),
-        epoch_rollovers: EPOCH_ROLLOVERS.load(Ordering::Relaxed),
     }
 }
 
@@ -96,7 +86,6 @@ pub fn stats() -> PoolStats {
 pub fn reset_stats() {
     POOL_HITS.store(0, Ordering::Relaxed);
     POOL_MISSES.store(0, Ordering::Relaxed);
-    EPOCH_ROLLOVERS.store(0, Ordering::Relaxed);
 }
 
 /// Enables or disables pooling globally. Disabled, every check allocates
@@ -112,350 +101,107 @@ pub fn is_enabled() -> bool {
     POOL_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Drops every pooled table (tests and fresh-cost measurement).
+/// Drops every pooled buffer (tests and fresh-cost measurement).
 pub fn clear() {
-    EPOCH_POOL.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    EPOCH_POOL_MAX_CAP.store(0, Ordering::Relaxed);
-    BITSET_POOL
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clear();
+    POOL.lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
-fn note_hit() {
-    POOL_HITS.fetch_add(1, Ordering::Relaxed);
-    rpb_obs::metrics::SNGIND_POOL_HITS.add(1);
+/// True when a request for `words` words is small enough for the pool —
+/// the signal `UniquenessCheck::Adaptive` uses. Deliberately independent
+/// of [`set_enabled`] so disabling the pool (for fresh-cost measurement)
+/// does not also change the chosen strategy.
+pub fn serves(words: usize) -> bool {
+    words <= MAX_POOLED_WORDS
 }
 
-fn note_miss(bytes: u64) {
-    POOL_MISSES.fetch_add(1, Ordering::Relaxed);
-    rpb_obs::metrics::SNGIND_POOL_MISSES.add(1);
-    rpb_obs::metrics::SNGIND_MARK_TABLE_BYTES.add(bytes);
-}
-
-/// An epoch-stamped mark table. A slot counts as marked iff it stores the
-/// table's current epoch; anything else (older epochs, zero) is unmarked.
-pub struct EpochMarks {
-    stamps: Box<[AtomicU32]>,
-    /// The epoch of the current acquisition. Plain data: the holder has
-    /// exclusive ownership of the table between acquire and release, and
-    /// marking threads only read it.
-    epoch: u32,
-}
-
-impl EpochMarks {
-    fn with_capacity(cap: usize) -> EpochMarks {
-        EpochMarks {
-            stamps: (0..cap).map(|_| AtomicU32::new(0)).collect(),
-            epoch: 0,
-        }
-    }
-
-    /// Slots this table can mark.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.stamps.len()
-    }
-
-    /// Advances to a fresh epoch, re-zeroing only on wraparound.
-    fn next_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Wrapped: stale stamps from ~4B acquisitions ago would alias
-            // the new epoch. Re-zero once and restart at epoch 1.
-            for s in self.stamps.iter() {
-                s.store(0, Ordering::Relaxed);
-            }
-            self.epoch = 1;
-            EPOCH_ROLLOVERS.fetch_add(1, Ordering::Relaxed);
-            rpb_obs::metrics::SNGIND_EPOCH_ROLLOVERS.add(1);
-        }
-    }
-
-    /// Marks slot `i`, returning `true` iff it was already marked this
-    /// epoch (i.e. `i` is a duplicate offset).
-    ///
-    /// `i` must be `< capacity()`; the caller (the fused validation sweep)
-    /// bounds-checks offsets before marking.
-    #[inline]
-    pub fn mark_was_set(&self, i: usize) -> bool {
-        self.stamps[i].swap(self.epoch, Ordering::Relaxed) == self.epoch
-    }
-}
-
-/// A one-bit-per-slot mark table over `AtomicU64` words.
-pub struct AtomicBitset {
+/// An acquired word buffer; returns to the pool on drop.
+pub struct WordsGuard {
     words: Box<[AtomicU64]>,
-}
-
-impl AtomicBitset {
-    fn with_capacity(cap_bits: usize) -> AtomicBitset {
-        AtomicBitset {
-            words: (0..cap_bits.div_ceil(64))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-        }
-    }
-
-    /// Bits this set can mark.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.words.len() * 64
-    }
-
-    /// Zeroes the first `len` bits (rounded up to whole words) — the
-    /// per-acquisition cost of the bitset strategy, 8× less traffic than
-    /// zeroing a byte table of the same slot count.
-    fn zero_prefix(&self, len: usize) {
-        for w in &self.words[..len.div_ceil(64).min(self.words.len())] {
-            w.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Sets bit `i`, returning `true` iff it was already set.
-    #[inline]
-    pub fn set_was_set(&self, i: usize) -> bool {
-        let mask = 1u64 << (i & 63);
-        self.words[i >> 6].fetch_or(mask, Ordering::Relaxed) & mask != 0
-    }
-}
-
-static EPOCH_POOL: Mutex<Vec<EpochMarks>> = Mutex::new(Vec::new());
-static BITSET_POOL: Mutex<Vec<AtomicBitset>> = Mutex::new(Vec::new());
-
-/// Lock-free mirror of the largest capacity currently in [`EPOCH_POOL`],
-/// maintained by every mutation made under the pool mutex. Lets
-/// [`epoch_pool_has`] — called on every `Adaptive` strategy resolution —
-/// answer without taking the global lock, so concurrent validations from
-/// independent rayon scopes don't serialize on it (the mutex is only
-/// taken by actual acquire/release/clear traffic).
-static EPOCH_POOL_MAX_CAP: AtomicUsize = AtomicUsize::new(0);
-
-/// True when a request for `len` slots is small enough for the epoch-table
-/// pool — the signal `UniquenessCheck::Adaptive` uses. Deliberately
-/// independent of [`set_enabled`] so disabling the pool (for fresh-cost
-/// measurement) does not also change the chosen strategy.
-pub fn epoch_pool_serves(len: usize) -> bool {
-    len <= MAX_POOLED_EPOCH_SLOTS
-}
-
-/// True when the epoch pool *currently holds* a table of at least `len`
-/// slots — acquiring one is an epoch bump, no allocation and no zeroing,
-/// which beats every other strategy regardless of offset density.
-/// Content-only (ignores [`set_enabled`]) for the same strategy-stability
-/// reason as [`epoch_pool_serves`].
-///
-/// Lock-free: reads a relaxed mirror of the pool's largest capacity, so
-/// concurrent strategy resolutions never contend on the pool mutex. The
-/// answer is a *hint* — a concurrent acquire can take the table between
-/// this probe and the caller's own acquire — which is benign: the loser
-/// falls back to a fresh allocation, never to an incorrect verdict.
-pub fn epoch_pool_has(len: usize) -> bool {
-    len <= EPOCH_POOL_MAX_CAP.load(Ordering::Relaxed)
-}
-
-/// An acquired epoch table; returns to the pool on drop.
-pub struct EpochMarksGuard {
-    table: Option<EpochMarks>,
     pooled: bool,
 }
 
-impl EpochMarksGuard {
-    /// The table itself.
+impl WordsGuard {
+    /// The buffer, for tasks that share it through atomic operations.
     #[inline]
-    pub fn marks(&self) -> &EpochMarks {
-        self.table
-            .as_ref()
-            .expect("EpochMarksGuard holds its table until drop")
+    pub fn words(&self) -> &[AtomicU64] {
+        &self.words
     }
 
-    /// Test hook: overwrites the held table's epoch, so integration tests
-    /// can park a pooled table at the edge of `u32` and drive the
-    /// wraparound re-zero path without ~4 billion acquisitions. Safe: a
-    /// forced epoch can at worst cause a spurious duplicate verdict,
-    /// never a missed one.
-    #[doc(hidden)]
-    pub fn force_epoch_for_tests(&mut self, epoch: u32) {
-        if let Some(t) = self.table.as_mut() {
-            t.epoch = epoch;
-        }
-    }
-}
-
-impl Drop for EpochMarksGuard {
-    fn drop(&mut self) {
-        if let Some(table) = self.table.take() {
-            if self.pooled && is_enabled() {
-                release(
-                    &EPOCH_POOL,
-                    table,
-                    EpochMarks::capacity,
-                    |t| 4 * t.capacity(),
-                    MAX_EPOCH_POOL_BYTES,
-                    Some(&EPOCH_POOL_MAX_CAP),
-                );
-            }
-        }
-    }
-}
-
-/// An acquired bitset; returns to the pool on drop.
-pub struct AtomicBitsetGuard {
-    table: Option<AtomicBitset>,
-    pooled: bool,
-}
-
-impl AtomicBitsetGuard {
-    /// The bitset itself.
+    /// The buffer, exclusively: split it and reach each word as a plain
+    /// integer with [`AtomicU64::get_mut`].
     #[inline]
-    pub fn bits(&self) -> &AtomicBitset {
-        self.table
-            .as_ref()
-            .expect("AtomicBitsetGuard holds its table until drop")
+    pub fn words_mut(&mut self) -> &mut [AtomicU64] {
+        &mut self.words
     }
 }
 
-impl Drop for AtomicBitsetGuard {
+impl Drop for WordsGuard {
     fn drop(&mut self) {
-        if let Some(table) = self.table.take() {
-            if self.pooled && is_enabled() {
-                release(
-                    &BITSET_POOL,
-                    table,
-                    AtomicBitset::capacity,
-                    |t| t.capacity() / 8,
-                    MAX_BITSET_POOL_BYTES,
-                    None,
-                );
-            }
+        if self.pooled && is_enabled() {
+            release(std::mem::take(&mut self.words));
         }
     }
 }
 
-/// Refreshes `hint` (if any) to the largest capacity in `tables`. Must be
-/// called with the pool mutex held, after every mutation of a pool that
-/// mirrors its max capacity into an atomic.
-fn refresh_hint<T>(hint: Option<&AtomicUsize>, tables: &[T], cap: impl Fn(&T) -> usize) {
-    if let Some(h) = hint {
-        h.store(tables.iter().map(cap).max().unwrap_or(0), Ordering::Relaxed);
-    }
-}
-
-/// Pops the smallest pooled table with `capacity >= len`, if any.
-fn acquire_from<T>(
-    pool: &Mutex<Vec<T>>,
-    len: usize,
-    cap: impl Fn(&T) -> usize,
-    hint: Option<&AtomicUsize>,
-) -> Option<T> {
+/// Pops the smallest pooled buffer of at least `words` words, if any.
+fn acquire_pooled(words: usize) -> Option<Box<[AtomicU64]>> {
     if !is_enabled() {
         return None;
     }
-    let mut tables = pool.lock().unwrap_or_else(|e| e.into_inner());
-    let best = tables
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| cap(t) >= len)
-        .min_by_key(|(_, t)| cap(t))
-        .map(|(i, _)| i)?;
-    let table = tables.swap_remove(best);
-    refresh_hint(hint, &tables, &cap);
-    Some(table)
+    let mut pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    let best = (0..pool.len())
+        .filter(|&i| pool[i].len() >= words)
+        .min_by_key(|&i| pool[i].len())?;
+    Some(pool.swap_remove(best))
 }
 
-/// Returns a table to its pool. While the pool exceeds its table count or
-/// `max_bytes` budget, the smallest table is evicted (it has the lowest
-/// reuse value: any larger retained table serves the same requests).
-fn release<T>(
-    pool: &Mutex<Vec<T>>,
-    table: T,
-    cap: impl Fn(&T) -> usize,
-    bytes: impl Fn(&T) -> usize,
-    max_bytes: usize,
-    hint: Option<&AtomicUsize>,
-) {
-    let mut tables = pool.lock().unwrap_or_else(|e| e.into_inner());
-    tables.push(table);
-    while !tables.is_empty()
-        && (tables.len() > MAX_POOL_TABLES || tables.iter().map(&bytes).sum::<usize>() > max_bytes)
+/// Returns a buffer to the pool. While the pool exceeds its buffer count or
+/// byte budget, the smallest buffer is evicted (it has the lowest reuse
+/// value: any larger retained buffer serves the same requests).
+fn release(words: Box<[AtomicU64]>) {
+    let mut pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    pool.push(words);
+    while pool.len() > MAX_POOL_TABLES
+        || pool.iter().map(|b| 8 * b.len()).sum::<usize>() > MAX_POOL_BYTES
     {
-        if let Some(smallest) = tables
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, t)| cap(t))
-            .map(|(i, _)| i)
-        {
-            tables.swap_remove(smallest);
-        }
+        // Runs inside `Drop`: no panic path, though a pool over its bounds
+        // always holds a buffer.
+        let Some(smallest) = (0..pool.len()).min_by_key(|&i| pool[i].len()) else {
+            break;
+        };
+        pool.swap_remove(smallest);
     }
-    refresh_hint(hint, &tables, &cap);
 }
 
-/// Acquires an epoch mark table of at least `len` slots: pool hit when
-/// possible, fresh allocation otherwise. The returned guard's table has a
-/// brand-new epoch, so all slots read as unmarked.
-pub fn acquire_epoch_marks(len: usize) -> EpochMarksGuard {
-    let pooled = epoch_pool_serves(len);
-    let mut table = match acquire_from(
-        &EPOCH_POOL,
-        len,
-        EpochMarks::capacity,
-        Some(&EPOCH_POOL_MAX_CAP),
-    ) {
-        Some(t) => {
-            note_hit();
-            t
+/// Acquires a buffer of at least `words` words: pool hit when possible,
+/// fresh allocation otherwise. The contents are unspecified — the caller
+/// zeroes what it uses.
+pub fn acquire_words(words: usize) -> WordsGuard {
+    let pooled = serves(words);
+    let buf = match acquire_pooled(words) {
+        Some(buf) => {
+            POOL_HITS.fetch_add(1, Ordering::Relaxed);
+            rpb_obs::metrics::SNGIND_POOL_HITS.add(1);
+            buf
         }
         None => {
-            // Round pool-bound requests up so a handful of tables serves
+            // Round pool-bound requests up so a handful of buffers serves
             // many distinct sizes. Oversized requests — and *all* requests
             // while the pool is disabled (the bench's fresh-cost baseline,
             // where rounding would overstate the allocate-per-call cost by
             // up to 2×) — allocate exactly.
             let cap = if pooled && is_enabled() {
-                len.next_power_of_two()
+                words.next_power_of_two()
             } else {
-                len
+                words
             };
-            note_miss(4 * cap as u64);
-            EpochMarks::with_capacity(cap)
+            POOL_MISSES.fetch_add(1, Ordering::Relaxed);
+            rpb_obs::metrics::SNGIND_POOL_MISSES.add(1);
+            rpb_obs::metrics::SNGIND_MARK_TABLE_BYTES.add(8 * cap as u64);
+            (0..cap).map(|_| AtomicU64::new(0)).collect()
         }
     };
-    table.next_epoch();
-    EpochMarksGuard {
-        table: Some(table),
-        pooled,
-    }
-}
-
-/// Acquires a bitset of at least `len` bits with the first `len` bits
-/// zeroed: pool hit when possible, fresh allocation otherwise.
-pub fn acquire_bitset(len: usize) -> AtomicBitsetGuard {
-    let pooled = len <= MAX_POOLED_BITSET_SLOTS;
-    let table = match acquire_from(&BITSET_POOL, len, AtomicBitset::capacity, None) {
-        Some(t) => {
-            note_hit();
-            t.zero_prefix(len);
-            t
-        }
-        None => {
-            // Exact-size when the allocation will not be pooled (oversized,
-            // or pool disabled for fresh-cost measurement) — see
-            // `acquire_epoch_marks`.
-            let cap = if pooled && is_enabled() {
-                len.next_power_of_two()
-            } else {
-                len
-            };
-            note_miss(cap.div_ceil(64) as u64 * 8);
-            // Fresh allocation is already zeroed.
-            AtomicBitset::with_capacity(cap)
-        }
-    };
-    AtomicBitsetGuard {
-        table: Some(table),
-        pooled,
-    }
+    WordsGuard { words: buf, pooled }
 }
 
 #[cfg(test)]
@@ -468,47 +214,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn epoch_bump_unmarks_previous_acquisitions() {
-        for round in 0..100 {
-            let g = acquire_epoch_marks(64);
-            for i in 0..64 {
-                assert!(
-                    !g.marks().mark_was_set(i),
-                    "round {round}: stale mark leaked into new epoch"
-                );
-                assert!(g.marks().mark_was_set(i), "second mark is a duplicate");
-            }
-        }
-    }
-
-    #[test]
-    fn bitset_marks_and_rezeroes() {
+    fn a_guard_gives_shared_and_exclusive_views_of_the_same_words() {
         for _ in 0..5 {
-            let g = acquire_bitset(130);
-            assert!(g.bits().capacity() >= 130);
-            assert!(!g.bits().set_was_set(0));
-            assert!(!g.bits().set_was_set(129));
-            assert!(g.bits().set_was_set(129));
+            let mut g = acquire_words(3);
+            assert!(g.words().len() >= 3);
+            for w in &mut g.words_mut()[..3] {
+                *w.get_mut() = 0;
+            }
+            *g.words_mut()[2].get_mut() |= 1 << 7;
+            assert_eq!(g.words()[2].fetch_or(1, Ordering::Relaxed), 1 << 7);
+            assert_eq!(*g.words_mut()[2].get_mut(), 1 << 7 | 1);
         }
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "allocates a 64 MiB table; too slow under Miri")]
-    fn oversized_epoch_requests_allocate_exactly() {
-        assert!(!epoch_pool_serves(MAX_POOLED_EPOCH_SLOTS + 1));
-        let g = acquire_epoch_marks(MAX_POOLED_EPOCH_SLOTS + 1);
-        assert_eq!(g.marks().capacity(), MAX_POOLED_EPOCH_SLOTS + 1);
-    }
-
-    #[test]
-    fn epoch_rollover_rezeroes() {
-        // A tiny table driven past u32::MAX epochs would take forever;
-        // instead, fabricate the wrap directly.
-        let mut t = EpochMarks::with_capacity(8);
-        t.epoch = u32::MAX;
-        assert!(!t.mark_was_set(3));
-        t.next_epoch(); // wraps: re-zero, epoch = 1
-        assert_eq!(t.epoch, 1);
-        assert!(!t.mark_was_set(3), "rollover must clear stale stamps");
+    #[cfg_attr(miri, ignore = "allocates a 32 MiB buffer; too slow under Miri")]
+    fn oversized_requests_allocate_exactly() {
+        assert!(serves(MAX_POOLED_WORDS));
+        assert!(!serves(MAX_POOLED_WORDS + 1));
+        let g = acquire_words(MAX_POOLED_WORDS + 1);
+        assert_eq!(g.words().len(), MAX_POOLED_WORDS + 1);
     }
 }

@@ -12,21 +12,48 @@
 //! Several check strategies are provided, because the check's cost is the
 //! paper's central trade-off (Fig. 5a):
 //!
-//! * [`UniquenessCheck::MarkTable`] — `O(n)` work: every offset stamps a
-//!   slot of a **pooled, epoch-stamped table** ([`crate::pool`]); a second
-//!   stamp in the same epoch is a duplicate. Steady state allocates and
-//!   zeroes nothing — acquiring a table bumps its epoch instead.
-//! * [`UniquenessCheck::Bitset`] — `O(n)` work over `AtomicU64` words, one
-//!   bit per slot: 8× less memory traffic than a byte table for large
-//!   `len`, at the cost of a word-zeroing pass per check.
+//! * [`UniquenessCheck::MarkTable`] — `O(n)` work over **block-private
+//!   bitmaps**: `offsets` is cut into at most one contiguous block per
+//!   thread, and each block marks its offsets in a bitmap of its own
+//!   (`len/64` plain `u64` words out of one pooled buffer,
+//!   [`crate::pool`]) with ordinary loads and stores; a fold over the
+//!   bitmaps then catches offsets that two blocks share (why that is
+//!   complete: below).
+//! * [`UniquenessCheck::Bitset`] — `O(n)` work over one bitmap shared by
+//!   all tasks through atomic `fetch_or`: `len/8` bytes whatever the
+//!   thread count, at the price of a locked instruction per offset. For
+//!   targets whose private bitmaps would outgrow the pool.
 //! * [`UniquenessCheck::Sort`] — `O(n log n)` work, no per-element marks:
 //!   radix-sort a copy and compare neighbours. Wins when the offsets are
-//!   very sparse in `0..len` (marking would touch a huge cold table).
+//!   very sparse in `0..len` (marking would touch a huge cold bitmap).
 //! * [`UniquenessCheck::Adaptive`] (the default) — picks one of the above
-//!   from `offsets.len()`, `len`, and pool availability.
+//!   from `offsets.len()`, `len` and the current thread count.
 //!
 //! The bounds check is **fused into the mark sweep** for the marking
-//! strategies: validation is one parallel pass, not two.
+//! strategies: validation is one pass over `offsets`, not two.
+//!
+//! # Why private bitmaps, and why they miss nothing
+//!
+//! A table all tasks mark needs a locked read-modify-write per offset and,
+//! at one word per slot, falls out of cache between the rounds of the
+//! kernels that call this check (Fig. 5a's overhead was mostly that). A
+//! bitmap per block is `len/8` bytes — L1/L2-sized for the suite's inputs —
+//! and exclusively owned (`par_chunks_mut`), so marking is plain safe Rust
+//! on `&mut` words: the paper's own fearless `Block` pattern, with no
+//! atomics to reason about in the code that licenses the unchecked scatter.
+//! It costs `blocks × len/8` bytes, which is why `Adaptive` hands targets
+//! too large for that to the shared `Bitset`, and a sequential fold of
+//! `(blocks − 1) × len/64` word operations after the blocks join.
+//!
+//! Each block zeroes its bitmap and then sets the bit of every offset it
+//! holds, so a bit is set in the bitmaps of exactly the blocks its offset
+//! occurs in. Two occurrences in one block meet in that block's
+//! test-before-set; two occurrences in different blocks leave the same bit
+//! set in two bitmaps, which the fold finds as a non-zero AND. Bits a
+//! previous holder of the pooled buffer left behind are gone before the
+//! first test (a block zeroes every word it owns), and bits at or above
+//! `len` in a bitmap's last word are never set, because an out-of-bounds
+//! offset is rejected before it is marked.
 //!
 //! For call sites that reuse one offsets array across rounds, see
 //! [`crate::proof::ValidatedOffsets`] — validate once, iterate many times.
@@ -34,6 +61,7 @@
 use rayon::iter::plumbing::{bridge, Consumer, Producer, ProducerCallback, UnindexedConsumer};
 use rayon::iter::{IndexedParallelIterator, ParallelIterator};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::pool;
 use crate::shared::SharedMutSlice;
@@ -81,25 +109,39 @@ impl std::error::Error for IndOffsetsError {}
 /// Strategy used by the run-time uniqueness check.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum UniquenessCheck {
-    /// Parallel epoch-stamped mark table: `O(n)` time, zero allocation in
-    /// steady state (tables are pooled and re-epoched, not re-zeroed).
+    /// Block-private mark bitmaps: `O(n)` time, no atomic instruction,
+    /// `blocks × len/8` bytes of pooled words (zero allocation in steady
+    /// state).
     MarkTable,
-    /// Parallel atomic bitset: `O(n)` time, one bit per slot — 8× less
-    /// memory traffic than a byte/word table for large `len`.
+    /// One atomic bitmap shared by all tasks: `O(n)` time, `len/8` bytes
+    /// whatever the thread count.
     Bitset,
     /// Sort-based: `O(n log n)` time, allocates a copy of the offsets.
     Sort,
     /// Picks [`MarkTable`](Self::MarkTable) / [`Bitset`](Self::Bitset) /
-    /// [`Sort`](Self::Sort) from `offsets.len()`, `len`, and pool
-    /// availability. The recommended default.
+    /// [`Sort`](Self::Sort) from `offsets.len()`, `len` and the current
+    /// thread count. The recommended default.
     #[default]
     Adaptive,
 }
 
 /// Offsets sparser than one per this many slots switch `Adaptive` to the
-/// sort strategy: marking would touch a cold table far larger than the
+/// sort strategy: marking would touch a cold bitmap far larger than the
 /// data being validated.
 const ADAPTIVE_SORT_SPARSITY: usize = 64;
+
+/// Fewest offsets worth a block (and a task) of their own in the
+/// [`MarkTable`](UniquenessCheck::MarkTable) sweep. Miri gets a small
+/// value so that its small inputs still split into several blocks.
+const MIN_BLOCK: usize = if cfg!(miri) { 32 } else { 4096 };
+
+/// Blocks the `MarkTable` sweep cuts `n` offsets into: one per thread of
+/// the current pool, as long as each gets [`MIN_BLOCK`] offsets.
+fn block_count(n: usize) -> usize {
+    rayon::current_num_threads()
+        .min(n.div_ceil(MIN_BLOCK))
+        .max(1)
+}
 
 impl UniquenessCheck {
     /// Resolves `Adaptive` to a concrete strategy for an `offsets.len()`
@@ -107,18 +149,14 @@ impl UniquenessCheck {
     pub fn resolve(self, n: usize, len: usize) -> UniquenessCheck {
         match self {
             UniquenessCheck::Adaptive => {
-                let dense = n.saturating_mul(ADAPTIVE_SORT_SPARSITY) >= len;
-                if pool::epoch_pool_serves(len) && (dense || pool::epoch_pool_has(len)) {
-                    // An epoch table validates with zero allocation and no
-                    // zeroing pass — unbeatable when one is already pooled
-                    // (any density) or the offsets are dense enough that
-                    // allocating one pays for itself across reuses.
-                    UniquenessCheck::MarkTable
-                } else if !dense {
-                    // Sparse and no table on hand: marking would touch a
-                    // cold table far larger than the data being validated.
+                if n.saturating_mul(ADAPTIVE_SORT_SPARSITY) < len {
+                    // Sparse: marking would touch a cold bitmap far larger
+                    // than the data being validated.
                     UniquenessCheck::Sort
+                } else if pool::serves(block_count(n).saturating_mul(len.div_ceil(64))) {
+                    UniquenessCheck::MarkTable
                 } else {
+                    // Dense, but a bitmap per block would outgrow the pool.
                     UniquenessCheck::Bitset
                 }
             }
@@ -132,11 +170,11 @@ impl UniquenessCheck {
 /// Edge cases are fully defined: empty `offsets` validate trivially
 /// (`Ok`, regardless of `len`), and non-empty `offsets` against `len == 0`
 /// deterministically fail with `OutOfBounds { index: 0, .. }` without
-/// touching the mark-table pool. Element type plays no role here — ZSTs
+/// touching the pool. Element type plays no role here — ZSTs
 /// validate like anything else (see [`ParIndIterMutExt::par_ind_iter_mut`]).
 ///
 /// Telemetry (feature `obs`): records the check's wall time, strategy,
-/// offset count, mark-table allocation, and failures — the raw material of
+/// offset count, bitmap allocation, and failures — the raw material of
 /// Fig. 5(a)'s check-overhead attribution.
 pub fn validate_offsets(
     offsets: &[usize],
@@ -171,8 +209,8 @@ fn validate_offsets_inner(
     if len == 0 {
         // Every offset is out of bounds for an empty target. Report the
         // first one deterministically and skip strategy dispatch entirely
-        // — in particular, don't acquire a zero-capacity mark table from
-        // the pool or hand `offsets.len() / len` to `resolve()`.
+        // — in particular, don't acquire a zero-word buffer from the pool
+        // or hand `offsets.len() / len` to `resolve()`.
         return Err(IndOffsetsError::OutOfBounds {
             index: 0,
             offset: offsets[0],
@@ -181,16 +219,13 @@ fn validate_offsets_inner(
     }
     match strategy {
         // Marking strategies fuse the bounds check into the mark sweep:
-        // one parallel pass over `offsets` instead of two.
-        UniquenessCheck::MarkTable => {
-            let guard = pool::acquire_epoch_marks(len);
-            let marks = guard.marks();
-            fused_mark_sweep(offsets, len, |o| marks.mark_was_set(o))
-        }
+        // one pass over `offsets` instead of two.
+        UniquenessCheck::MarkTable => private_bitmap_check(offsets, len),
         UniquenessCheck::Bitset => {
-            let guard = pool::acquire_bitset(len);
-            let bits = guard.bits();
-            fused_mark_sweep(offsets, len, |o| bits.set_was_set(o))
+            let words = len.div_ceil(64);
+            let mut guard = pool::acquire_words(words);
+            zero(&mut guard.words_mut()[..words]);
+            fused_mark_sweep(offsets, len, &guard.words()[..words])
         }
         UniquenessCheck::Sort => {
             // The sort can't detect out-of-bounds, so bounds get their own
@@ -225,8 +260,100 @@ fn validate_offsets_inner(
     }
 }
 
-/// The fused bounds + uniqueness sweep shared by the marking strategies:
-/// `mark_was_set(o)` must return whether `o` was already marked.
+/// The [`UniquenessCheck::MarkTable`] check (see the module docs for why it
+/// is complete): `offsets` is cut into [`block_count`] contiguous blocks
+/// and a pooled buffer into as many bitmaps of `len/64` words; block *b*
+/// sweeps its offsets through bitmap *b* ([`mark_block`]), and a fold over
+/// the bitmaps ([`bitmaps_overlap`]) catches what two blocks share. One
+/// block needs neither rayon dispatch nor fold.
+///
+/// The *verdict* and the error *variant* are deterministic (`OutOfBounds`
+/// wins, see [`settle`]); which of several same-variant
+/// faults is reported depends on which block reports first.
+fn private_bitmap_check(offsets: &[usize], len: usize) -> Result<(), IndOffsetsError> {
+    let words = len.div_ceil(64);
+    // Blocks of equal size, and exactly as many bitmaps as blocks: a bitmap
+    // no block zeroed would feed stale bits to the fold.
+    let block = offsets.len().div_ceil(block_count(offsets.len()));
+    let blocks = offsets.len().div_ceil(block);
+    // Checked: a wrapped product would leave blocks without a bitmap, and
+    // their offsets unexamined.
+    let total = blocks
+        .checked_mul(words)
+        .expect("the mark bitmaps exceed the address space");
+    let mut guard = pool::acquire_words(total);
+    let buf = &mut guard.words_mut()[..total];
+    let fault = if blocks == 1 {
+        mark_block(buf, offsets, 0, len)
+    } else {
+        let fault = buf
+            .par_chunks_mut(words)
+            .zip(offsets.par_chunks(block))
+            .enumerate()
+            .find_map_any(|(b, (bits, part))| mark_block(bits, part, b * block, len));
+        if fault.is_none() && bitmaps_overlap(buf, words) {
+            // Cold: every block passed, so all offsets are in bounds and
+            // some offset sits in two blocks. One sequential sweep over
+            // all of `offsets` names its second occurrence.
+            let dup = mark_block(&mut buf[..words], offsets, 0, len);
+            Some(dup.expect("two bitmaps share a bit, so some offset repeats"))
+        } else {
+            fault
+        }
+    };
+    settle(offsets, len, fault)
+}
+
+/// Clears a bitmap its holder owns exclusively: plain stores.
+fn zero(bits: &mut [AtomicU64]) {
+    for w in bits {
+        *w.get_mut() = 0;
+    }
+}
+
+/// One block of [`private_bitmap_check`]: zeroes `bits` (one bit for each
+/// of `len` slots) and marks `offsets` in it, stopping at the first offset
+/// that is out of bounds or already marked. `base` is the index of
+/// `offsets[0]` in the whole array.
+fn mark_block(
+    bits: &mut [AtomicU64],
+    offsets: &[usize],
+    base: usize,
+    len: usize,
+) -> Option<IndOffsetsError> {
+    zero(bits);
+    for (k, &offset) in offsets.iter().enumerate() {
+        let index = base + k;
+        if offset >= len {
+            return Some(IndOffsetsError::OutOfBounds { index, offset, len });
+        }
+        let word = bits[offset >> 6].get_mut();
+        let mask = 1u64 << (offset & 63);
+        if *word & mask != 0 {
+            return Some(IndOffsetsError::Duplicate { index, offset });
+        }
+        *word |= mask;
+    }
+    None
+}
+
+/// Folds the bitmaps of `words` words each that make up `buf` into the
+/// first one, and reports whether any bit was set in two of them.
+fn bitmaps_overlap(buf: &mut [AtomicU64], words: usize) -> bool {
+    let (acc, rest) = buf.split_at_mut(words);
+    let mut shared = 0u64;
+    for next in rest.chunks_mut(words) {
+        for (a, x) in acc.iter_mut().zip(next) {
+            let (a, x) = (a.get_mut(), *x.get_mut());
+            shared |= *a & x;
+            *a |= x;
+        }
+    }
+    shared != 0
+}
+
+/// The fused bounds + uniqueness sweep of [`UniquenessCheck::Bitset`] over
+/// one zeroed bitmap `bits` that all tasks share.
 ///
 /// The *verdict* and the error *variant* are deterministic: when an input
 /// has both an out-of-bounds offset and a duplicate, `OutOfBounds` wins
@@ -243,11 +370,11 @@ fn validate_offsets_inner(
 fn fused_mark_sweep(
     offsets: &[usize],
     len: usize,
-    mark_was_set: impl Fn(usize) -> bool + Sync,
+    bits: &[AtomicU64],
 ) -> Result<(), IndOffsetsError> {
     #[cfg(all(feature = "simd", target_arch = "x86_64", target_pointer_width = "64"))]
     if rpb_parlay::simd::simd_enabled() {
-        return fused_mark_sweep_simd(offsets, len, &mark_was_set);
+        return fused_mark_sweep_simd(offsets, len, bits);
     }
     let err = offsets
         .par_iter()
@@ -255,27 +382,42 @@ fn fused_mark_sweep(
         .find_map_any(|(index, &offset)| {
             if offset >= len {
                 Some(IndOffsetsError::OutOfBounds { index, offset, len })
-            } else if mark_was_set(offset) {
+            } else if set_was_set(bits, offset) {
                 Some(IndOffsetsError::Duplicate { index, offset })
             } else {
                 None
             }
         });
-    match err {
-        None => Ok(()),
-        Some(e @ IndOffsetsError::OutOfBounds { .. }) => Err(e),
-        Some(dup) => Err(prefer_out_of_bounds(offsets, len, dup)),
-    }
+    settle(offsets, len, err)
 }
 
-/// Cold error path shared by the sweep variants: the parallel sweep
-/// reported `dup`, but if an out-of-bounds offset coexists with it,
-/// prefer that deterministically (first by index) — error path only, so
-/// the extra sequential scan costs nothing in the success case.
-fn prefer_out_of_bounds(offsets: &[usize], len: usize, dup: IndOffsetsError) -> IndOffsetsError {
-    match offsets.iter().enumerate().find(|&(_, &o)| o >= len) {
-        Some((index, &offset)) => IndOffsetsError::OutOfBounds { index, offset, len },
-        None => dup,
+/// Sets bit `i` of the shared bitmap, returning `true` iff it was already
+/// set.
+#[inline]
+fn set_was_set(bits: &[AtomicU64], i: usize) -> bool {
+    let mask = 1u64 << (i & 63);
+    bits[i >> 6].fetch_or(mask, Ordering::Relaxed) & mask != 0
+}
+
+/// Turns the first fault a marking sweep met (if any) into the verdict.
+/// Cold error path: when the sweep reported a duplicate but an
+/// out-of-bounds offset coexists with it, prefer that deterministically
+/// (first by index) — error path only, so the extra sequential scan costs
+/// nothing in the success case.
+fn settle(
+    offsets: &[usize],
+    len: usize,
+    fault: Option<IndOffsetsError>,
+) -> Result<(), IndOffsetsError> {
+    match fault {
+        None => Ok(()),
+        Some(dup @ IndOffsetsError::Duplicate { .. }) => {
+            match offsets.iter().enumerate().find(|&(_, &o)| o >= len) {
+                Some((index, &offset)) => Err(IndOffsetsError::OutOfBounds { index, offset, len }),
+                None => Err(dup),
+            }
+        }
+        Some(out_of_bounds) => Err(out_of_bounds),
     }
 }
 
@@ -283,18 +425,15 @@ fn prefer_out_of_bounds(offsets: &[usize], len: usize, dup: IndOffsetsError) -> 
 /// bounds pre-scan (which reports out-of-bounds directly), then a tight
 /// uniqueness-mark loop over the now-proven-in-bounds chunk. Marking whole
 /// chunks instead of interleaving per-element bounds branches changes
-/// which marks are set when a fault aborts the sweep mid-way — harmless,
-/// because the mark table is epoch-reset on the next acquisition — but
-/// never the verdict or the reported variant.
+/// which bits are set when a fault aborts the sweep mid-way — harmless,
+/// because the next holder zeroes the bitmap — but never the verdict or
+/// the reported variant.
 #[cfg(all(feature = "simd", target_arch = "x86_64", target_pointer_width = "64"))]
-fn fused_mark_sweep_simd<F>(
+fn fused_mark_sweep_simd(
     offsets: &[usize],
     len: usize,
-    mark_was_set: &F,
-) -> Result<(), IndOffsetsError>
-where
-    F: Fn(usize) -> bool + Sync,
-{
+    bits: &[AtomicU64],
+) -> Result<(), IndOffsetsError> {
     rpb_obs::metrics::SNGIND_SIMD_SWEEPS.add(1);
     // `validate_offsets_inner` resolved len == 0 before any sweep runs,
     // which licenses the `len - 1` bound inside the vector compare.
@@ -314,7 +453,7 @@ where
                 });
             }
             for (k, &offset) in chunk.iter().enumerate() {
-                if mark_was_set(offset) {
+                if set_was_set(bits, offset) {
                     return Some(IndOffsetsError::Duplicate {
                         index: base + k,
                         offset,
@@ -323,11 +462,7 @@ where
             }
             None
         });
-    match err {
-        None => Ok(()),
-        Some(e @ IndOffsetsError::OutOfBounds { .. }) => Err(e),
-        Some(dup) => Err(prefer_out_of_bounds(offsets, len, dup)),
-    }
+    settle(offsets, len, err)
 }
 
 /// The vector kernel behind [`fused_mark_sweep_simd`].
@@ -764,13 +899,13 @@ mod tests {
 
     #[test]
     fn adaptive_resolves_to_concrete_strategies() {
-        // Pool-servable target: the epoch table wins.
+        // Dense, and a bitmap per block fits the pool: private bitmaps.
         assert_eq!(
             UniquenessCheck::Adaptive.resolve(1000, 1000),
             UniquenessCheck::MarkTable
         );
-        // Beyond the epoch pool cap: dense offsets -> bitset.
-        let huge = pool::MAX_POOLED_EPOCH_SLOTS + 1;
+        // Beyond the pool's cap even as one bitmap: dense offsets -> bitset.
+        let huge = 64 * pool::MAX_POOLED_WORDS + 1;
         assert_eq!(
             UniquenessCheck::Adaptive.resolve(huge, huge),
             UniquenessCheck::Bitset
@@ -1038,14 +1173,14 @@ mod tests {
     #[test]
     fn simd_and_scalar_sweeps_agree_on_tiny_and_tail_sizes() {
         let _g = rpb_parlay::simd::force_lock();
-        // Sizes straddling the 4-lane width: 0..=9 plus a chunk boundary.
+        // The shared-bitmap arm is the one with a vector path. Sizes
+        // straddling the 4-lane width: 0..=9 plus a chunk boundary.
         for n in (0..=9).chain([2048, 2049, 2051]) {
             if cfg!(miri) && n > 64 {
                 continue;
             }
             let offsets: Vec<usize> = (0..n).collect();
-            let (scalar, simd) =
-                validate_both_impls(&offsets, n.max(1), UniquenessCheck::MarkTable);
+            let (scalar, simd) = validate_both_impls(&offsets, n.max(1), UniquenessCheck::Bitset);
             assert_eq!(scalar, simd, "clean n={n}");
             if n == 0 {
                 continue;
@@ -1053,7 +1188,7 @@ mod tests {
             // Out-of-bounds in the scalar tail (last element).
             let mut bad = offsets.clone();
             bad[n - 1] = n;
-            let (scalar, simd) = validate_both_impls(&bad, n, UniquenessCheck::MarkTable);
+            let (scalar, simd) = validate_both_impls(&bad, n, UniquenessCheck::Bitset);
             assert_eq!(
                 scalar,
                 Err(IndOffsetsError::OutOfBounds {
@@ -1064,6 +1199,47 @@ mod tests {
                 "n={n}"
             );
             assert_eq!(scalar, simd, "oob n={n}");
+        }
+    }
+
+    #[test]
+    fn private_bitmaps_catch_duplicates_within_and_across_blocks() {
+        use rpb_parlay::exec::{rayon_executor, run_in};
+        for threads in [1, 2, 4] {
+            run_in(rayon_executor(), threads, || {
+                // Around the sizes where the block count changes: one
+                // block becomes two, and the pool runs out of threads.
+                for n in [MIN_BLOCK, threads * MIN_BLOCK]
+                    .into_iter()
+                    .flat_map(|edge| [edge - 1, edge, edge + 1])
+                {
+                    let clean = random_permutation(n, n as u64);
+                    let mark = UniquenessCheck::MarkTable;
+                    assert_eq!(validate_offsets(&clean, n, mark), Ok(()), "n={n}");
+                    let block = n.div_ceil(block_count(n));
+                    // (first, second) occurrence: both in block 0; in the
+                    // first and the last block; on either side of the first
+                    // block boundary (where there is one).
+                    let mut plants = vec![(0, block - 1), (0, n - 1)];
+                    if block < n {
+                        plants.push((block - 1, block));
+                    }
+                    for (i, j) in plants {
+                        let mut dup = clean.clone();
+                        dup[j] = dup[i];
+                        let planted = dup[i];
+                        let err = validate_offsets(&dup, n, mark);
+                        assert!(
+                            matches!(
+                                err,
+                                Err(IndOffsetsError::Duplicate { index, offset })
+                                    if offset == planted && dup[index] == planted
+                            ),
+                            "threads={threads} n={n} plant=({i},{j}): {err:?}"
+                        );
+                    }
+                }
+            });
         }
     }
 }

@@ -35,51 +35,100 @@ const ALL_STRATEGIES: [UniquenessCheck; 4] = [
     UniquenessCheck::Adaptive,
 ];
 
+/// Runs `f` inside a Rayon pool of `threads` threads of its own — `MarkTable`
+/// cuts its input into one block per thread of the current pool.
+fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+    rpb_parlay::exec::run_in(rpb_parlay::exec::rayon_executor(), threads, f)
+}
+
+const POOL_SIZES: [usize; 3] = [1, 2, 4];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every strategy agrees with the sequential oracle on accept/reject.
-    /// (The *which* of several coexisting errors is reported is strategy-
-    /// and schedule-dependent; the verdict must not be.)
+    /// Every strategy agrees with the sequential oracle on accept/reject,
+    /// whatever the pool it runs in. (The *which* of several coexisting
+    /// errors is reported is strategy- and schedule-dependent; the verdict
+    /// must not be.)
     #[test]
     fn all_strategies_agree_with_oracle(
         offsets in proptest::collection::vec(0usize..96, 0..96),
         len in 0usize..96,
     ) {
         let want = oracle_accepts(&offsets, len);
-        for strat in ALL_STRATEGIES {
-            let got = validate_offsets(&offsets, len, strat);
-            prop_assert_eq!(
-                got.is_ok(),
-                want,
-                "strategy {:?} disagrees with oracle: {:?}",
-                strat,
-                got
-            );
+        for threads in POOL_SIZES {
+            for strat in ALL_STRATEGIES {
+                let got = in_pool(threads, || validate_offsets(&offsets, len, strat));
+                prop_assert_eq!(
+                    got.is_ok(),
+                    want,
+                    "strategy {:?} on {} threads disagrees with oracle: {:?}",
+                    strat,
+                    threads,
+                    got
+                );
+            }
         }
     }
 
-    /// Epoch reuse is sound: after any number of successful validations
-    /// sharing pooled tables, a clean array still passes (stale marks from
-    /// earlier epochs never fake a duplicate) and a duplicated array is
-    /// still rejected (the epoch bump never erases detection).
+    /// The same on inputs long enough for `MarkTable` to cut them into
+    /// several blocks: a permutation with up to two planted faults, each a
+    /// repeat of another entry or an out-of-bounds value.
+    #[test]
+    fn all_strategies_agree_with_oracle_across_blocks(
+        n in 2usize..20_000,
+        seed in any::<u64>(),
+        faults in proptest::collection::vec((any::<usize>(), any::<usize>(), any::<bool>()), 0..3),
+    ) {
+        let mut offsets = rpb_parlay::seqdata::random_permutation(n, seed);
+        for (at, from, out_of_bounds) in faults {
+            offsets[at % n] = if out_of_bounds { n + from % 7 } else { offsets[from % n] };
+        }
+        let want = oracle_accepts(&offsets, n);
+        for threads in POOL_SIZES {
+            for strat in ALL_STRATEGIES {
+                let got = in_pool(threads, || validate_offsets(&offsets, n, strat));
+                prop_assert_eq!(
+                    got.is_ok(),
+                    want,
+                    "strategy {:?} on {} threads disagrees with oracle: {:?}",
+                    strat,
+                    threads,
+                    got
+                );
+            }
+        }
+    }
+
+    /// Buffer reuse is sound: after any number of validations sharing
+    /// pooled bitmaps, a clean array still passes (marks left by an earlier
+    /// holder never fake a duplicate) and a duplicated array is still
+    /// rejected — in one block or several.
     #[test]
     fn pooled_reuse_never_flips_a_verdict(
-        n in 2usize..300,
-        dup_at in 0usize..300,
+        n in prop_oneof![2usize..300, 8_000usize..20_000],
+        dup_at in 0usize..20_000,
         rounds in 1usize..4,
     ) {
         let clean: Vec<usize> = (0..n).collect();
         let mut dup = clean.clone();
         dup[dup_at % n] = clean[(dup_at + 1) % n];
-        for _ in 0..rounds {
-            prop_assert!(validate_offsets(&clean, n, UniquenessCheck::MarkTable).is_ok());
-            let err = validate_offsets(&dup, n, UniquenessCheck::MarkTable);
-            prop_assert!(
-                matches!(err, Err(IndOffsetsError::Duplicate { .. })),
-                "{:?}",
-                err
-            );
+        for threads in POOL_SIZES {
+            for _ in 0..rounds {
+                let (ok, err) = in_pool(threads, || {
+                    (
+                        validate_offsets(&clean, n, UniquenessCheck::MarkTable),
+                        validate_offsets(&dup, n, UniquenessCheck::MarkTable),
+                    )
+                });
+                prop_assert!(ok.is_ok(), "{} threads: {:?}", threads, ok);
+                prop_assert!(
+                    matches!(err, Err(IndOffsetsError::Duplicate { .. })),
+                    "{} threads: {:?}",
+                    threads,
+                    err
+                );
+            }
         }
     }
 

@@ -65,27 +65,26 @@ define_metrics! {
     counters {
         // rpb-fearless: SngInd uniqueness checking (Fig. 5a attribution).
         SNGIND_CHECKS_MARK => "sngind_checks_mark":
-            "`validate_offsets` runs using the mark-table strategy.",
+            "`validate_offsets` runs using the mark-table strategy \
+             (block-private bitmaps).",
         SNGIND_CHECKS_SORT => "sngind_checks_sort":
             "`validate_offsets` runs using the sort strategy.",
         SNGIND_OFFSETS_VALIDATED => "sngind_offsets_validated":
             "Total offsets passed through SngInd uniqueness validation.",
         SNGIND_CHECKS_BITSET => "sngind_checks_bitset":
-            "`validate_offsets` runs using the atomic-bitset strategy.",
+            "`validate_offsets` runs using the shared atomic-bitset strategy.",
         SNGIND_MARK_TABLE_BYTES => "sngind_mark_table_bytes":
-            "Bytes of mark-table/bitset storage allocated by checks \
+            "Bytes of mark-bitmap words allocated by checks \
              (pool misses only; pool hits allocate nothing).",
         SNGIND_CHECK_FAILURES => "sngind_check_failures":
             "SngInd validations that rejected their offsets.",
-        // rpb-fearless: pooled mark-table fast path (Fig. 5a amortization).
+        // rpb-fearless: pooled bitmap words (Fig. 5a amortization).
         SNGIND_POOL_HITS => "sngind_pool_hits":
-            "Mark-table/bitset acquisitions served from the global pool \
+            "Bitmap-word acquisitions served from the global pool \
              (zero allocation).",
         SNGIND_POOL_MISSES => "sngind_pool_misses":
-            "Mark-table/bitset acquisitions that had to allocate fresh \
+            "Bitmap-word acquisitions that had to allocate fresh \
              storage (cold pool, oversized request, or pool disabled).",
-        SNGIND_EPOCH_ROLLOVERS => "sngind_epoch_rollovers":
-            "Epoch-stamp wraparounds that forced a full mark-table re-zero.",
         SNGIND_PROOF_REUSES => "sngind_proof_reuses":
             "Indirect iterators constructed from a pre-validated \
              `ValidatedOffsets`/`ValidatedChunks` proof (validation skipped).",
@@ -263,7 +262,6 @@ mod tests {
             "sngind_checks_bitset",
             "sngind_pool_hits",
             "sngind_pool_misses",
-            "sngind_epoch_rollovers",
             "sngind_proof_reuses",
             "sngind_offsets_validated",
             "mq_pushes",

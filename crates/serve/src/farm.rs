@@ -12,7 +12,7 @@
 //!   ([`rpb_parlay::exec::run_in`]) once, at spawn, and serves every job
 //!   from inside it — pool construction is a boot cost, not a per-request
 //!   cost, which is what lets steady-state requests run allocation-free
-//!   through the epoch-stamped validation pools.
+//!   through the validation pool.
 //! * **A panicking job is a failed job, not a dead server.** Workers
 //!   catch unwinds, account them through [`rpb_parlay::exec::BatchError`]
 //!   (the executor stack's panic-payload carrier), and keep serving.

@@ -23,7 +23,7 @@ pub enum JobKind {
     /// Comparison (sample) sort over a clone of the sequence.
     Sort,
     /// Integer (radix) sort — in `Checked` mode every scatter pass
-    /// validates through the pooled epoch tables, making this the
+    /// validates in pooled mark bitmaps, making this the
     /// endpoint that proves the steady-state zero-alloc claim.
     Isort,
     /// Remove duplicates.

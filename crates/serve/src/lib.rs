@@ -4,10 +4,9 @@
 //! times one batch, and exits, this crate keeps the datasets and executor
 //! pools alive and answers a stream of benchmark jobs over a socket — the
 //! steady-state regime the paper's amortized-validation claims are about.
-//! A long-lived process is exactly where the epoch-stamped validation
-//! pools pay off: after the first request of a given shape, every later
-//! `Checked`-mode job validates against pooled mark tables and allocates
-//! nothing (`sngind_pool_misses` stays flat — the `serve-*` perf-gate
+//! A long-lived process is exactly where the validation pool pays off:
+//! after the first request of a given shape, every later `Checked`-mode
+//! job validates in pooled mark bitmaps and allocates nothing (`sngind_pool_misses` stays flat — the `serve-*` perf-gate
 //! cells and `rpb serve --self-test` both hard-check that delta).
 //!
 //! Layers, bottom up:

@@ -381,7 +381,6 @@ fn stats_json(shared: &Shared) -> Json {
             Json::Obj(vec![
                 ("hits".to_string(), u(p.hits)),
                 ("misses".to_string(), u(p.misses)),
-                ("epoch_rollovers".to_string(), u(p.epoch_rollovers)),
             ]),
         ),
         ("endpoints".to_string(), Json::Obj(endpoints)),

@@ -61,7 +61,6 @@ pub fn run_par(bwt: &[u8], mode: ExecMode) -> Result<Vec<u8>, SuiteError> {
     }
     // Scatter: out[m-1-k] = bwt[order[k]]. The offsets m-1-k over k are a
     // permutation (SngInd); we skip k = 0 (the sentinel slot).
-    let offsets: Vec<usize> = (1..m).map(|k| m - 1 - k).collect();
     let mut out = vec![0u8; m - 1];
     match mode {
         ExecMode::Unsafe => {
@@ -72,6 +71,8 @@ pub fn run_par(bwt: &[u8], mode: ExecMode) -> Result<Vec<u8>, SuiteError> {
             });
         }
         ExecMode::Checked => {
+            // Only the checked iterator needs the offsets as an array.
+            let offsets: Vec<usize> = (1..m).map(|k| m - 1 - k).collect();
             let proof = validate_offsets_cached(&offsets, out.len(), UniquenessCheck::Adaptive)
                 .map_err(|e| {
                     SuiteError::invariant("bw", format!("scatter offsets rejected: {e}"))

@@ -104,9 +104,8 @@ fn scatter(src: &[u64], dst: &mut [u64], dest: &[usize], mode: ExecMode) {
             });
         }
         // Adaptive strategy + a validation proof: each pass validates its
-        // fresh destination permutation once (served by the pooled epoch
-        // table — no allocation after the first pass) and scatters through
-        // the proof.
+        // fresh destination permutation once (in pooled mark bitmaps — no
+        // allocation after the first pass) and scatters through the proof.
         ExecMode::Checked => {
             match validate_offsets_cached(dest, dst.len(), UniquenessCheck::Adaptive) {
                 Ok(proof) => dst

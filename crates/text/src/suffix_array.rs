@@ -99,8 +99,8 @@ fn scatter_ranks(
         ExecMode::Checked => {
             // par_ind_iter_mut wants usize offsets; refill the hoisted
             // buffer (no allocation after the first round), validate once
-            // with the adaptive strategy (served by the pooled epoch
-            // table), and scatter through the proof.
+            // with the adaptive strategy (in pooled mark bitmaps), and
+            // scatter through the proof.
             offsets_buf.clear();
             offsets_buf.par_extend(sa.par_iter().map(|&x| x as usize));
             match validate_offsets_cached(offsets_buf, rank.len(), UniquenessCheck::Adaptive) {
