@@ -5,8 +5,9 @@ use std::path::PathBuf;
 
 use rpb_bench::record::{self, EnvInfo};
 use rpb_bench::{figures, RunRecord, Scale, Workloads};
-use rpb_parlay::exec::{set_default_backend, BackendKind};
-use rpb_pipeline::{set_default_channel, ChannelKind};
+use rpb_parlay::exec::set_default_backend;
+use rpb_parlay::Selector;
+use rpb_pipeline::set_default_channel;
 
 fn main() {
     // Fill the MultiQueue slot of the executor registry before any
@@ -99,33 +100,15 @@ fn main() {
             }
             "--kernel-impl" if cmd == "verify" => {
                 i += 1;
-                let list = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--kernel-impl needs a list (auto,scalar,simd)"));
-                verify_cfg.kernel_impls = list
-                    .split(',')
-                    .map(|k| k.parse().unwrap_or_else(|e| die(&format!("{e}"))))
-                    .collect();
+                verify_cfg.kernel_impls = axis_list("--kernel-impl", args.get(i));
             }
             "--backend" => {
                 i += 1;
-                let list = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--backend needs a list (rayon,mq)"));
-                let mut backends: Vec<BackendKind> = Vec::new();
-                for b in list.split(',') {
-                    let k = b.parse().unwrap_or_else(|e| die(&format!("{e}")));
-                    if !backends.contains(&k) {
-                        backends.push(k);
-                    }
-                }
+                let backends = axis_list("--backend", args.get(i));
                 if cmd == "verify" {
                     verify_cfg.backends = backends;
-                } else if let [one] = backends[..] {
-                    set_default_backend(Some(one));
                 } else {
-                    die("--backend takes one value outside `rpb verify` \
-                         (a comma list is only a verify-matrix axis)");
+                    set_default_backend(Some(one_value("--backend", &backends)));
                 }
             }
             "--streaming" if cmd == "verify" => {
@@ -133,23 +116,11 @@ fn main() {
             }
             "--channel" => {
                 i += 1;
-                let list = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--channel needs a list (mpsc,crossbeam)"));
-                let mut channels: Vec<ChannelKind> = Vec::new();
-                for c in list.split(',') {
-                    let k = c.parse().unwrap_or_else(|e| die(&format!("{e}")));
-                    if !channels.contains(&k) {
-                        channels.push(k);
-                    }
-                }
+                let channels = axis_list("--channel", args.get(i));
                 if cmd == "verify" {
                     verify_cfg.channels = channels;
-                } else if let [one] = channels[..] {
-                    set_default_channel(Some(one));
                 } else {
-                    die("--channel takes one value outside `rpb verify` \
-                         (a comma list is only a verify-matrix axis)");
+                    set_default_channel(Some(one_value("--channel", &channels)));
                 }
             }
             "--inject" if cmd == "verify" => {
@@ -320,6 +291,23 @@ fn main() {
         record::write_json(&path, &recs, scale, &env)
             .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
         eprintln!("wrote {} records to {}", recs.len(), path.display());
+    }
+}
+
+/// The de-duplicated comma list of a run-time axis flag.
+fn axis_list<S: Selector>(flag: &str, value: Option<&String>) -> Vec<S> {
+    let list = value.unwrap_or_else(|| die(&format!("{flag} needs a list ({})", S::labels(","))));
+    S::parse_list(list).unwrap_or_else(|e| die(&e.to_string()))
+}
+
+/// Outside `rpb verify` an axis flag names the one process default.
+fn one_value<S: Copy>(flag: &str, values: &[S]) -> S {
+    match values {
+        [one] => *one,
+        _ => die(&format!(
+            "{flag} takes one value outside `rpb verify` (a comma list is only a \
+             verify-matrix axis)"
+        )),
     }
 }
 

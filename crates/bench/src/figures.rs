@@ -9,6 +9,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use rpb_fearless::ExecMode;
+use rpb_parlay::exec::{default_backend, BackendKind};
 use rpb_suite::meta::{all_benchmarks, suite_census};
 
 use crate::record::RunRecord;
@@ -16,19 +17,14 @@ use crate::runner::{recommended_mode, run_case, run_seq_case, FIG5A_PAIRS, FIG5B
 use crate::workloads::Workloads;
 use crate::{fig6, gmean, time_best, TimingStats, ALL_PAIRS};
 
-/// Runs `f` with the process-default backend's ambient pool of `threads`
-/// workers installed (per-thread pool telemetry under `--features obs`
-/// lives in `rpb_parlay::exec` now). Shared with the perf gate, whose
-/// counter pass pins `threads` to 1 for determinism.
-pub(crate) fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
-    in_pool_on(rpb_parlay::exec::default_backend(), threads, f)
-}
-
-/// [`in_pool`] on an explicit backend, resolved through the executor
-/// registry. Registration is ensured here so library tests work under
+/// Runs `f` with `backend`'s ambient pool of `threads` workers installed,
+/// resolved through the executor registry (per-thread pool telemetry
+/// under `--features obs` lives in `rpb_parlay::exec`). Shared with the
+/// verifier and the perf gate, whose counter pass pins `threads` to 1 for
+/// determinism. Registration is ensured here so library tests work under
 /// `RPB_BACKEND=mq` without the binary's startup hook.
 pub(crate) fn in_pool_on<T: Send>(
-    backend: rpb_parlay::exec::BackendKind,
+    backend: BackendKind,
     threads: usize,
     f: impl FnOnce() -> T + Send,
 ) -> T {
@@ -74,7 +70,9 @@ fn timed_par_tagged(
     if sample_ranks {
         rpb_multiqueue::enable_online_sampler(16);
     }
-    let ts = in_pool(threads, || run_case(name, w, mode, threads, reps));
+    let ts = in_pool_on(default_backend(), threads, || {
+        run_case(name, w, mode, threads, reps)
+    });
     #[cfg(feature = "obs")]
     if sample_ranks {
         rpb_multiqueue::disable_online_sampler();
@@ -104,7 +102,7 @@ fn timed_seq(
     reps: usize,
 ) -> TimingStats {
     rpb_obs::metrics::reset();
-    let ts = in_pool(1, || run_seq_case(name, w, reps));
+    let ts = in_pool_on(default_backend(), 1, || run_seq_case(name, w, reps));
     recs.push(RunRecord::new(
         figure,
         name,
@@ -496,7 +494,7 @@ pub fn fig6_report(n: usize, reps: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale::Scale;
+    use crate::Scale;
 
     #[test]
     fn static_tables_render() {

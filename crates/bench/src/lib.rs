@@ -17,9 +17,13 @@
 //! rpb gate  <record|compare|check> [opts]   # deterministic perf gate
 //! ```
 //!
-//! Options: `--scale gate|small|medium|large`, `--threads N`; `verify`
-//! additionally takes `--suite a,b,...`, `--mode m,...`, and
-//! `--workers n,...` (see [`verifier`]).
+//! Options: `--scale gate|small|medium|large`, `--threads N`, `--reps N`,
+//! `--json PATH` (the timed figures), and one value of `--backend` /
+//! `--channel` to set the process default. `verify` additionally takes
+//! `--suite a,b,...`, `--mode m,...`, `--workers n,...`, `--inject bench`,
+//! `--streaming`, and comma lists for the `--kernel-impl`, `--backend` and
+//! `--channel` axes (see [`verifier`]; README "Run-time axes" has the
+//! values, aliases and environment variables).
 //!
 //! See EXPERIMENTS.md for the mapping to the paper's numbers and the
 //! substitutions (this machine is not a 24-core `c5.metal`; the *shape*
@@ -30,13 +34,12 @@ pub mod figures;
 pub mod gate;
 pub mod record;
 pub mod runner;
-pub mod scale;
 pub mod verifier;
 pub mod workloads;
 
 pub use record::{EnvInfo, RunRecord};
-pub use runner::{run_case, BenchSpec, ALL_PAIRS};
-pub use scale::Scale;
+pub use rpb_suite::Scale;
+pub use runner::{run_case, ALL_PAIRS};
 pub use workloads::Workloads;
 
 use std::time::{Duration, Instant};

@@ -18,8 +18,7 @@ use std::io::Write as _;
 
 use rpb_obs::{Json, Snapshot};
 
-use crate::scale::Scale;
-use crate::TimingStats;
+use crate::{Scale, TimingStats};
 
 /// Schema tag written into every report file.
 pub const SCHEMA: &str = "rpb-bench-v2";
@@ -55,7 +54,7 @@ impl EnvInfo {
         }
     }
 
-    fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("git_sha".into(), Json::Str(self.git_sha.clone())),
             ("cpu_count".into(), Json::from_u64(self.cpu_count as u64)),
@@ -174,7 +173,7 @@ impl RunRecord {
     }
 }
 
-fn scale_to_json(scale: Scale) -> Json {
+pub(crate) fn scale_to_json(scale: Scale) -> Json {
     Json::Obj(vec![
         ("text_len".into(), Json::from_u64(scale.text_len as u64)),
         ("seq_len".into(), Json::from_u64(scale.seq_len as u64)),

@@ -8,13 +8,6 @@ use rpb_suite::{bfs, bw, dedup, dr, hist, isort, lrs, mis, mm, msf, sa, sf, sort
 use crate::workloads::Workloads;
 use crate::{time_best, TimingStats};
 
-/// One benchmark-input pair.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BenchSpec {
-    /// Pair label as in Fig. 4 ("mis-link", "sort", ...).
-    pub name: &'static str,
-}
-
 /// The 20 benchmark-input pairs of Fig. 4, in its x-axis order.
 pub const ALL_PAIRS: [&str; 20] = [
     "bw",
@@ -246,7 +239,7 @@ pub fn recommended_mode(name: &str) -> ExecMode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale::Scale;
+    use crate::Scale;
 
     #[test]
     fn every_pair_runs_at_tiny_scale() {

@@ -2,19 +2,21 @@
 //! verification ([`rpb_suite::verify`]) across execution modes and
 //! worker-pool sizes, and renders the pass/fail matrix.
 //!
-//! Each cell is one `(benchmark, mode)` pair, run once per requested
-//! worker count inside a dedicated Rayon pool of that size. A cell
-//! fails on the first typed [`rpb_suite::SuiteError`] — or on a panic,
-//! which is caught and reported as a failure rather than killing the
-//! sweep. The harness exits [`EXIT_DIVERGENCE`] when any cell fails, so
-//! CI can block on it.
+//! A matrix is rows (benchmarks) × columns × an inner sweep of every
+//! cell over kernel impls, backends and worker counts; the batch matrix
+//! (columns = execution modes) and the `--streaming` one (columns =
+//! channel backends) are two configurations of one engine ([`Matrix`]).
+//! A cell fails on the first typed [`rpb_suite::SuiteError`] — or on a
+//! panic, which is caught and reported as a failure rather than killing
+//! the sweep. The harness exits [`EXIT_DIVERGENCE`] when any cell fails,
+//! so CI can block on it.
 
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rpb_fearless::{ExecMode, ALL_MODES};
 use rpb_parlay::exec::{default_backend, BackendKind};
-use rpb_parlay::simd::KernelImpl;
+use rpb_parlay::simd::{self, KernelImpl};
 use rpb_pipeline::{default_channel, ChannelKind};
 use rpb_suite::streaming::{verify_streaming, StreamConfig, STREAMING_BENCHES};
 use rpb_suite::verify::{verify_pair_on, SuiteInputs, SUITE_BENCHES};
@@ -139,49 +141,186 @@ pub fn validate_workers(workers: &[usize]) -> Result<(), String> {
     Ok(())
 }
 
+/// One point of a cell's inner sweep.
+#[derive(Clone, Copy)]
+struct Point {
+    kimpl: KernelImpl,
+    backend: BackendKind,
+    workers: usize,
+}
+
+/// One configuration of the matrix engine. `FAIL` lines read
+/// `bench/<what> @N workers [<variant>/<backend>]` and the summary
+/// `<title>: … across workers {…} and <axis> {…} and backends {…}`.
+struct Matrix<'a> {
+    /// Summary prefix.
+    title: &'static str,
+    /// Row labels: the validated benchmark names.
+    rows: Vec<&'static str>,
+    /// Column labels, each padded to `width`.
+    cols: Vec<&'static str>,
+    width: usize,
+    /// Kernel impls every cell sweeps, outside backends × workers.
+    kernel_impls: &'a [KernelImpl],
+    /// The axis the summary names besides workers and backends.
+    axis: (&'static str, Vec<&'static str>),
+    /// `(what, variant)` of a `FAIL` line for `(column, point)`.
+    tag: Box<dyn Fn(usize, Point) -> (&'static str, &'static str) + 'a>,
+    run: Box<RunCell<'a>>,
+}
+
+/// One run of `(bench, column, point, inject)`; the engine isolates its
+/// panics.
+type RunCell<'a> = dyn Fn(&str, usize, Point, bool) -> Result<(), String> + 'a;
+
+impl Matrix<'_> {
+    /// Sweeps every cell — stopping a cell at its first failing point —
+    /// and renders header, `ok`/`FAIL` cells, `FAIL …` lines and summary.
+    fn sweep(&self, cfg: &VerifyConfig) -> VerifyOutcome {
+        let width = self.width;
+        let mut rendered = String::new();
+        let mut failures: Vec<String> = Vec::new();
+        let mut cells = 0usize;
+
+        write!(rendered, "{:<8}", "bench").expect("write to string");
+        for col in &self.cols {
+            write!(rendered, " {col:<width$}").expect("write to string");
+        }
+        rendered.push('\n');
+        for &bench in &self.rows {
+            write!(rendered, "{bench:<8}").expect("write to string");
+            let inject = cfg.inject.as_deref() == Some(bench);
+            for col in 0..self.cols.len() {
+                cells += 1;
+                let mut points = self.kernel_impls.iter().flat_map(|&kimpl| {
+                    cfg.backends.iter().flat_map(move |&backend| {
+                        cfg.workers.iter().map(move |&workers| Point {
+                            kimpl,
+                            backend,
+                            workers,
+                        })
+                    })
+                });
+                let failure = points.find_map(|p| {
+                    let outcome = isolated(|| (self.run)(bench, col, p, inject));
+                    outcome.err().map(|detail| (p, detail))
+                });
+                if let Some((p, detail)) = &failure {
+                    let (what, variant) = (self.tag)(col, *p);
+                    failures.push(format!(
+                        "{bench}/{what} @{} workers [{variant}/{}]: {detail}",
+                        p.workers,
+                        p.backend.label()
+                    ));
+                }
+                let verdict = if failure.is_none() { "ok" } else { "FAIL" };
+                write!(rendered, " {verdict:<width$}").expect("write to string");
+            }
+            rendered.push('\n');
+        }
+        rendered.push('\n');
+        for f in &failures {
+            writeln!(rendered, "FAIL {f}").expect("write to string");
+        }
+        let workers: Vec<String> = cfg.workers.iter().map(|n| n.to_string()).collect();
+        let backends: Vec<&str> = cfg.backends.iter().map(|b| b.label()).collect();
+        writeln!(
+            rendered,
+            "{}: {cells} cells ({} ok, {} FAIL) across workers {{{}}} and {} {{{}}} and backends \
+             {{{}}}",
+            self.title,
+            cells - failures.len(),
+            failures.len(),
+            workers.join(","),
+            self.axis.0,
+            self.axis.1.join(","),
+            backends.join(",")
+        )
+        .expect("write to string");
+        VerifyOutcome {
+            rendered,
+            failures,
+            cells,
+        }
+    }
+}
+
+/// Runs `f`, mapping a typed error or a panic to the cell's failure
+/// detail.
+fn isolated(f: impl FnOnce() -> Result<(), String>) -> Result<(), String> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(format!(
+            "panicked: {}",
+            rpb_parlay::panics::panic_message(&*payload)
+        ))
+    })
+}
+
+/// The rows of a matrix: the requested benchmarks (all of `universe` when
+/// none are named), after checking them and the `--inject` target against
+/// `universe`. `unknown` / `no_inject` word the two complaints; the valid
+/// names are appended.
+fn select_benches(
+    cfg: &VerifyConfig,
+    universe: &'static [&'static str],
+    unknown: impl Fn(&str) -> String,
+    no_inject: impl Fn(&str) -> String,
+) -> Result<Vec<&'static str>, String> {
+    let find = |b: &str| universe.iter().find(|&&s| s == b).copied();
+    let valid = || format!("(valid: {})", universe.join(", "));
+    let rows = if cfg.benches.is_empty() {
+        universe.to_vec()
+    } else {
+        let named = cfg.benches.iter();
+        named
+            .map(|b| find(b).ok_or_else(|| format!("{} {}", unknown(b), valid())))
+            .collect::<Result<_, _>>()?
+    };
+    match &cfg.inject {
+        Some(inj) if find(inj).is_none() => Err(format!("{} {}", no_inject(inj), valid())),
+        _ => Ok(rows),
+    }
+}
+
+/// An axis with nothing selected is a usage error.
+fn non_empty<T>(axis: &[T], what: &str) -> Result<(), String> {
+    if axis.is_empty() {
+        return Err(format!("no {what} selected"));
+    }
+    Ok(())
+}
+
 /// Runs the configured matrix. `Err` is a usage problem (unknown
 /// benchmark name, empty mode/worker list, out-of-range worker count,
 /// a kernel impl or backend this build can't honor) — distinct from
 /// verification failures, which are reported inside the `Ok` outcome.
 pub fn run_matrix(w: &Workloads, cfg: &VerifyConfig) -> Result<VerifyOutcome, String> {
-    if cfg.streaming {
-        return run_streaming_matrix(w, cfg);
-    }
-    let benches: Vec<&str> = if cfg.benches.is_empty() {
-        SUITE_BENCHES.to_vec()
+    let inputs = suite_inputs(w);
+    let matrix = if cfg.streaming {
+        streaming_matrix(&inputs, cfg)?
     } else {
-        cfg.benches
-            .iter()
-            .map(|b| {
-                SUITE_BENCHES
-                    .iter()
-                    .find(|&&s| s == b)
-                    .copied()
-                    .ok_or_else(|| {
-                        format!(
-                            "unknown benchmark `{b}` (valid: {})",
-                            SUITE_BENCHES.join(", ")
-                        )
-                    })
-            })
-            .collect::<Result<_, _>>()?
+        batch_matrix(&inputs, cfg)?
     };
-    if let Some(inj) = &cfg.inject {
-        if !SUITE_BENCHES.contains(&inj.as_str()) {
-            return Err(format!(
-                "cannot inject into unknown benchmark `{inj}` (valid: {})",
-                SUITE_BENCHES.join(", ")
-            ));
-        }
-    }
-    if cfg.modes.is_empty() {
-        return Err("no execution modes selected".into());
-    }
+    Ok(matrix.sweep(cfg))
+}
+
+/// The batch matrix: columns are execution modes and each cell runs
+/// [`verify_pair_on`] inside its own pool. A non-[`KernelImpl::Auto`]
+/// impl pins the dispatch for the duration of the run.
+fn batch_matrix<'a>(
+    inputs: &'a SuiteInputs<'a>,
+    cfg: &'a VerifyConfig,
+) -> Result<Matrix<'a>, String> {
+    let rows = select_benches(
+        cfg,
+        &SUITE_BENCHES,
+        |b| format!("unknown benchmark `{b}`"),
+        |inj| format!("cannot inject into unknown benchmark `{inj}`"),
+    )?;
+    non_empty(&cfg.modes, "execution modes")?;
     validate_workers(&cfg.workers)?;
-    if cfg.kernel_impls.is_empty() {
-        return Err("no kernel implementations selected".into());
-    }
-    if cfg.kernel_impls.contains(&KernelImpl::Simd) && !rpb_parlay::simd::simd_compiled() {
+    non_empty(&cfg.kernel_impls, "kernel implementations")?;
+    if cfg.kernel_impls.contains(&KernelImpl::Simd) && !simd::simd_compiled() {
         return Err(
             "kernel impl `simd` requires a binary built with `--features simd`: this build \
              compiled only the scalar paths, so the scalar-vs-simd differential would \
@@ -189,266 +328,80 @@ pub fn run_matrix(w: &Workloads, cfg: &VerifyConfig) -> Result<VerifyOutcome, St
                 .into(),
         );
     }
-    if cfg.backends.is_empty() {
-        return Err("no backends selected".into());
-    }
-
-    let inputs = suite_inputs(w);
-    let mut rendered = String::new();
-    let mut failures: Vec<String> = Vec::new();
-    let mut cells = 0usize;
-
-    write!(rendered, "{:<8}", "bench").expect("write to string");
-    for mode in &cfg.modes {
-        write!(rendered, " {:<8}", mode.label()).expect("write to string");
-    }
-    rendered.push('\n');
-    for &bench in &benches {
-        write!(rendered, "{bench:<8}").expect("write to string");
-        for &mode in &cfg.modes {
-            cells += 1;
-            let mut cell_ok = true;
-            'cell: for &kimpl in &cfg.kernel_impls {
-                for &backend in &cfg.backends {
-                    for &workers in &cfg.workers {
-                        let inject = cfg.inject.as_deref() == Some(bench);
-                        if let Err(detail) =
-                            run_cell(&inputs, bench, mode, workers, kimpl, backend, inject)
-                        {
-                            failures.push(format!(
-                                "{bench}/{} @{workers} workers [{}/{}]: {detail}",
-                                mode.label(),
-                                kimpl.label(),
-                                backend.label()
-                            ));
-                            cell_ok = false;
-                            break 'cell;
-                        }
-                    }
-                }
-            }
-            write!(rendered, " {:<8}", if cell_ok { "ok" } else { "FAIL" })
-                .expect("write to string");
-        }
-        rendered.push('\n');
-    }
-    rendered.push('\n');
-    for f in &failures {
-        writeln!(rendered, "FAIL {f}").expect("write to string");
-    }
-    let workers: Vec<String> = cfg.workers.iter().map(|n| n.to_string()).collect();
-    let impls: Vec<&str> = cfg.kernel_impls.iter().map(|k| k.label()).collect();
-    let backends: Vec<&str> = cfg.backends.iter().map(|b| b.label()).collect();
-    writeln!(
-        rendered,
-        "verify: {cells} cells ({} ok, {} FAIL) across workers {{{}}} and kernel impls {{{}}} \
-         and backends {{{}}}",
-        cells - failures.len(),
-        failures.len(),
-        workers.join(","),
-        impls.join(","),
-        backends.join(",")
-    )
-    .expect("write to string");
-    Ok(VerifyOutcome {
-        rendered,
-        failures,
-        cells,
-    })
-}
-
-/// The streaming counterpart of the batch matrix: rows are the
-/// benchmarks with streaming variants, columns are channel backends, and
-/// each cell sweeps the executor backends and worker counts. A cell runs
-/// [`verify_streaming`] — streaming output must agree exactly with the
-/// batch oracles and honor the `capacity × channels` in-flight bound —
-/// and fails on the first typed error or panic.
-fn run_streaming_matrix(w: &Workloads, cfg: &VerifyConfig) -> Result<VerifyOutcome, String> {
-    let benches: Vec<&str> = if cfg.benches.is_empty() {
-        STREAMING_BENCHES.to_vec()
-    } else {
-        cfg.benches
-            .iter()
-            .map(|b| {
-                STREAMING_BENCHES
-                    .iter()
-                    .find(|&&s| s == b)
-                    .copied()
-                    .ok_or_else(|| {
-                        format!(
-                            "benchmark `{b}` has no streaming variant (valid: {})",
-                            STREAMING_BENCHES.join(", ")
-                        )
-                    })
+    non_empty(&cfg.backends, "backends")?;
+    Ok(Matrix {
+        title: "verify",
+        rows,
+        cols: cfg.modes.iter().map(|m| m.label()).collect(),
+        width: 8,
+        kernel_impls: &cfg.kernel_impls,
+        axis: (
+            "kernel impls",
+            cfg.kernel_impls.iter().map(|k| k.label()).collect(),
+        ),
+        tag: Box::new(|col, p| (cfg.modes[col].label(), p.kimpl.label())),
+        run: Box::new(|bench, col, p, inject| {
+            let _pin = (p.kimpl != KernelImpl::Auto).then(|| simd::pin(p.kimpl));
+            let mode = cfg.modes[col];
+            in_pool_on(p.backend, p.workers, || {
+                verify_pair_on(p.backend, bench, inputs, mode, p.workers, inject)
             })
-            .collect::<Result<_, _>>()?
-    };
-    if let Some(inj) = &cfg.inject {
-        if !STREAMING_BENCHES.contains(&inj.as_str()) {
-            return Err(format!(
-                "cannot inject into `{inj}`: no streaming variant (valid: {})",
-                STREAMING_BENCHES.join(", ")
-            ));
-        }
-    }
-    validate_workers(&cfg.workers)?;
-    if cfg.channels.is_empty() {
-        return Err("no channel backends selected".into());
-    }
-    if cfg.backends.is_empty() {
-        return Err("no backends selected".into());
-    }
-
-    let inputs = suite_inputs(w);
-    let mut rendered = String::new();
-    let mut failures: Vec<String> = Vec::new();
-    let mut cells = 0usize;
-
-    write!(rendered, "{:<8}", "bench").expect("write to string");
-    for channel in &cfg.channels {
-        write!(rendered, " {:<10}", channel.label()).expect("write to string");
-    }
-    rendered.push('\n');
-    for &bench in &benches {
-        write!(rendered, "{bench:<8}").expect("write to string");
-        for &channel in &cfg.channels {
-            cells += 1;
-            let mut cell_ok = true;
-            'cell: for &backend in &cfg.backends {
-                for &workers in &cfg.workers {
-                    let inject = cfg.inject.as_deref() == Some(bench);
-                    if let Err(detail) =
-                        run_streaming_cell(&inputs, bench, channel, backend, workers, inject)
-                    {
-                        failures.push(format!(
-                            "{bench}/streaming @{workers} workers [{}/{}]: {detail}",
-                            channel.label(),
-                            backend.label()
-                        ));
-                        cell_ok = false;
-                        break 'cell;
-                    }
-                }
-            }
-            write!(rendered, " {:<10}", if cell_ok { "ok" } else { "FAIL" })
-                .expect("write to string");
-        }
-        rendered.push('\n');
-    }
-    rendered.push('\n');
-    for f in &failures {
-        writeln!(rendered, "FAIL {f}").expect("write to string");
-    }
-    let workers: Vec<String> = cfg.workers.iter().map(|n| n.to_string()).collect();
-    let channels: Vec<&str> = cfg.channels.iter().map(|c| c.label()).collect();
-    let backends: Vec<&str> = cfg.backends.iter().map(|b| b.label()).collect();
-    writeln!(
-        rendered,
-        "verify --streaming: {cells} cells ({} ok, {} FAIL) across workers {{{}}} and channels \
-         {{{}}} and backends {{{}}}",
-        cells - failures.len(),
-        failures.len(),
-        workers.join(","),
-        channels.join(","),
-        backends.join(",")
-    )
-    .expect("write to string");
-    Ok(VerifyOutcome {
-        rendered,
-        failures,
-        cells,
+            .map_err(|e| e.to_string())
+        }),
     })
 }
 
-/// One streaming `(bench, channel, backend, workers)` run,
-/// panic-isolated. The pipeline builds its own executor batch (one
-/// worker thread per blocking stage task), so no ambient pool pinning
-/// is needed — `workers` sizes the transform-stage farm.
-fn run_streaming_cell(
-    inputs: &SuiteInputs<'_>,
-    bench: &str,
-    channel: ChannelKind,
-    backend: BackendKind,
-    workers: usize,
-    inject: bool,
-) -> Result<(), String> {
-    // Registration is ensured here (not just in the binary's startup
-    // hook) so library tests can sweep the mq backend too.
-    rpb_multiqueue::backend::ensure_registered();
-    let cfg = StreamConfig {
-        channel,
-        backend,
-        workers,
-        ..StreamConfig::default()
-    };
-    match catch_unwind(AssertUnwindSafe(|| {
-        verify_streaming(bench, inputs, cfg, inject)
-    })) {
-        Ok(Ok(())) => Ok(()),
-        Ok(Err(e)) => Err(e.to_string()),
-        Err(payload) => Err(format!(
-            "panicked: {}",
-            rpb_parlay::panics::panic_message(&*payload)
-        )),
-    }
-}
-
-/// One `(bench, mode, workers, kernel impl, backend)` run inside its own
-/// pool, panic-isolated. A non-[`KernelImpl::Auto`] impl pins the
-/// dispatch for the duration of the run (serialized via the global force
-/// lock so concurrent matrices can't trample each other's pin) and
-/// restores auto dispatch afterwards — panics included.
-fn run_cell(
-    inputs: &SuiteInputs<'_>,
-    bench: &str,
-    mode: ExecMode,
-    workers: usize,
-    kimpl: KernelImpl,
-    backend: BackendKind,
-    inject: bool,
-) -> Result<(), String> {
-    let _pin = (kimpl != KernelImpl::Auto).then(|| {
-        let guard = rpb_parlay::simd::force_lock();
-        rpb_parlay::simd::set_forced(kimpl);
-        guard
-    });
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        in_pool_on(backend, workers, || {
-            verify_pair_on(backend, bench, inputs, mode, workers, inject)
-        })
-    }));
-    if kimpl != KernelImpl::Auto {
-        rpb_parlay::simd::set_forced(KernelImpl::Auto);
-    }
-    match outcome {
-        Ok(Ok(())) => Ok(()),
-        Ok(Err(e)) => Err(e.to_string()),
-        Err(payload) => Err(format!(
-            "panicked: {}",
-            rpb_parlay::panics::panic_message(&*payload)
-        )),
-    }
+/// The streaming matrix: rows are the benchmarks with streaming
+/// variants, columns are channel backends, and the modes and kernel-impl
+/// axes don't apply. A cell runs [`verify_streaming`] — streaming output
+/// must agree exactly with the batch oracles and honor the `capacity ×
+/// channels` in-flight bound. The pipeline builds its own executor batch
+/// (one worker thread per blocking stage task), so no ambient pool
+/// pinning is needed — `workers` sizes the transform-stage farm.
+fn streaming_matrix<'a>(
+    inputs: &'a SuiteInputs<'a>,
+    cfg: &'a VerifyConfig,
+) -> Result<Matrix<'a>, String> {
+    let rows = select_benches(
+        cfg,
+        &STREAMING_BENCHES,
+        |b| format!("benchmark `{b}` has no streaming variant"),
+        |inj| format!("cannot inject into `{inj}`: no streaming variant"),
+    )?;
+    validate_workers(&cfg.workers)?;
+    non_empty(&cfg.channels, "channel backends")?;
+    non_empty(&cfg.backends, "backends")?;
+    let channels: Vec<&str> = cfg.channels.iter().map(|c| c.label()).collect();
+    Ok(Matrix {
+        title: "verify --streaming",
+        rows,
+        cols: channels.clone(),
+        width: 10,
+        kernel_impls: &[KernelImpl::Auto],
+        axis: ("channels", channels),
+        tag: Box::new(|col, _| ("streaming", cfg.channels[col].label())),
+        run: Box::new(|bench, col, p, inject| {
+            // Registration is ensured here (not just in the binary's
+            // startup hook) so library tests can sweep the mq backend too.
+            rpb_multiqueue::backend::ensure_registered();
+            let stream = StreamConfig {
+                channel: cfg.channels[col],
+                backend: p.backend,
+                workers: p.workers,
+                ..StreamConfig::default()
+            };
+            verify_streaming(bench, inputs, stream, inject).map_err(|e| e.to_string())
+        }),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale::Scale;
-
-    fn tiny_workloads() -> Workloads {
-        let mut scale = Scale::gate();
-        // Shrink below gate so the in-crate matrix tests stay fast; the
-        // CLI regression test exercises the real gate scale.
-        scale.text_len = 2_000;
-        scale.seq_len = 8_000;
-        scale.graph_n = 400;
-        scale.points_n = 200;
-        Workloads::build(scale)
-    }
 
     #[test]
     fn clean_subset_matrix_passes() {
-        let w = tiny_workloads();
+        let w = Workloads::tiny();
         let cfg = VerifyConfig {
             benches: vec!["hist".into(), "sort".into(), "bfs".into()],
             workers: vec![1, 2],
@@ -471,7 +424,7 @@ mod tests {
     #[cfg(all(feature = "simd", target_arch = "x86_64", not(miri)))]
     #[test]
     fn kernel_impl_axis_runs_both_paths() {
-        let w = tiny_workloads();
+        let w = Workloads::tiny();
         let cfg = VerifyConfig {
             benches: vec!["hist".into(), "dedup".into()],
             modes: vec![ExecMode::Checked],
@@ -491,7 +444,7 @@ mod tests {
 
     #[test]
     fn empty_kernel_impl_list_is_a_usage_error() {
-        let w = tiny_workloads();
+        let w = Workloads::tiny();
         let none = VerifyConfig {
             kernel_impls: Vec::new(),
             ..VerifyConfig::default()
@@ -501,7 +454,7 @@ mod tests {
 
     #[test]
     fn injection_renders_fail_cells() {
-        let w = tiny_workloads();
+        let w = Workloads::tiny();
         let cfg = VerifyConfig {
             benches: vec!["hist".into(), "sort".into()],
             modes: vec![ExecMode::Checked],
@@ -517,7 +470,7 @@ mod tests {
 
     #[test]
     fn backend_axis_runs_both_backends() {
-        let w = tiny_workloads();
+        let w = Workloads::tiny();
         let cfg = VerifyConfig {
             benches: vec!["bfs".into(), "sssp".into()],
             modes: vec![ExecMode::Sync],
@@ -543,7 +496,7 @@ mod tests {
 
     #[test]
     fn streaming_matrix_passes_on_both_channels_and_backends() {
-        let w = tiny_workloads();
+        let w = Workloads::tiny();
         let cfg = VerifyConfig {
             streaming: true,
             channels: vec![ChannelKind::Mpsc, ChannelKind::Crossbeam],
@@ -564,7 +517,7 @@ mod tests {
 
     #[test]
     fn streaming_injection_renders_fail_cells() {
-        let w = tiny_workloads();
+        let w = Workloads::tiny();
         let cfg = VerifyConfig {
             streaming: true,
             benches: vec!["hist".into(), "dedup".into()],
@@ -580,7 +533,7 @@ mod tests {
 
     #[test]
     fn streaming_usage_errors_are_typed() {
-        let w = tiny_workloads();
+        let w = Workloads::tiny();
         // `sort` has no streaming variant.
         let no_variant = VerifyConfig {
             streaming: true,
@@ -605,7 +558,7 @@ mod tests {
 
     #[test]
     fn usage_errors_are_not_failures() {
-        let w = tiny_workloads();
+        let w = Workloads::tiny();
         let unknown = VerifyConfig {
             benches: vec!["quicksort".into()],
             ..VerifyConfig::default()
@@ -644,7 +597,7 @@ mod tests {
     #[cfg(not(feature = "simd"))]
     #[test]
     fn simd_impl_without_the_feature_is_a_usage_error() {
-        let w = tiny_workloads();
+        let w = Workloads::tiny();
         let cfg = VerifyConfig {
             benches: vec!["hist".into()],
             modes: vec![ExecMode::Checked],

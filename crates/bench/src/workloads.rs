@@ -5,7 +5,7 @@ use rpb_geom::Point;
 use rpb_graph::{Graph, GraphKind, WeightedGraph};
 use rpb_suite::inputs;
 
-use crate::scale::Scale;
+use crate::Scale;
 
 /// All inputs for one scale.
 pub struct Workloads {
@@ -63,6 +63,19 @@ impl Workloads {
             rmat_wedges: inputs::weighted_edges(GraphKind::Rmat, scale.graph_n),
             road_wedges: inputs::weighted_edges(GraphKind::Road, scale.graph_n),
         }
+    }
+
+    /// Inputs well below the gate scale, so the in-crate gate and verify
+    /// tests stay fast; CI's jobs exercise the real gate scale through
+    /// the binary.
+    #[cfg(test)]
+    pub(crate) fn tiny() -> Workloads {
+        Workloads::build(Scale {
+            text_len: 2_000,
+            seq_len: 8_000,
+            graph_n: 400,
+            points_n: 200,
+        })
     }
 }
 

@@ -67,80 +67,78 @@ mod with_obs {
     }
 
     #[test]
-    fn kernel_cells_hard_counters_match_across_dispatch_pins() {
+    fn invisible_axes_leave_hard_counters_identical() {
         let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let w = Workloads::build(Scale::gate());
         let b = gate::record(&w, 1, 1);
 
-        // Every kernel appears under both pins, and the pins record
-        // *identical* hard counters: the SIMD fast paths must be
-        // behaviorally invisible (their own obs counters are deliberately
-        // outside the hard set). On non-AVX2 hardware or default-feature
-        // builds both pins resolve to the scalar paths, which satisfies
-        // the same property trivially.
-        for name in gate::KERNEL_PAIRS {
-            let cell = |mode: &str| {
-                b.cases
-                    .iter()
-                    .find(|c| c.name == name && c.mode == mode)
-                    .unwrap_or_else(|| panic!("{name}/{mode} cell missing"))
-            };
-            let (scalar, simd) = (cell("scalar"), cell("simd"));
-            assert_eq!(
-                scalar.counters_json().to_string(),
-                simd.counters_json().to_string(),
-                "{name}: scalar and simd pins disagree on hard counters"
-            );
+        let keys: Vec<String> = b.cases.iter().map(|c| c.key()).collect();
+        assert_eq!(keys.len(), 52, "cells of a default-feature obs build");
+        for (i, k) in keys.iter().enumerate() {
+            assert!(!keys[..i].contains(k), "duplicate cell key {k}");
         }
-        // The validation kernels must actually record events, or the
-        // equality above is vacuous.
-        let validated = |name: &str, counter: &str| {
-            b.cases
+
+        // Each family below varies one pin the rest of the stack must not
+        // be able to see: the dispatch pin (the SIMD fast paths' own obs
+        // counters are deliberately outside the hard set; on non-AVX2
+        // hardware or default-feature builds both pins run scalar code,
+        // which satisfies the property trivially), the scheduling backend
+        // (at the 1-worker counter pass the MultiQueue policy and the
+        // serve admission arithmetic are substrate-independent), and the
+        // channel backend. So a group — the rows sharing a name — must
+        // record *identical* counter sections; any inequality means the
+        // pin changed behavior, not just speed. Every group must also
+        // record the events the family exists to gate, or the equality is
+        // vacuous.
+        for (prefix, axis, groups, nonzero) in [
+            ("kernel-", ["scalar", "simd"], 4, None), // per kernel, below
+            ("backend-", ["rayon", "mq"], 4, Some("mq_pushes")),
+            ("serve-", ["rayon", "mq"], 2, Some("serve_jobs_admitted")),
+            (
+                "pipeline-",
+                ["mpsc", "crossbeam"],
+                3,
+                Some("pipeline_items_in"),
+            ),
+        ] {
+            let family: Vec<&gate::GateCase> = b
+                .cases
                 .iter()
-                .find(|c| c.name == name && c.mode == "scalar")
-                .map(|c| c.counter(counter))
-                .unwrap_or(0)
-        };
-        assert!(
-            validated("kernel-sngind-validate", "sngind_offsets_validated") > 0,
-            "sngind kernel cell recorded no validations"
-        );
-        assert!(
-            validated("kernel-rngind-validate", "rngind_boundaries_validated") > 0,
-            "rngind kernel cell recorded no validations"
-        );
-    }
-
-    #[test]
-    fn backend_cells_hard_counters_match_across_backends() {
-        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let w = Workloads::build(Scale::gate());
-        let b = gate::record(&w, 1, 1);
-
-        // Every MultiQueue pair appears under both scheduling backends,
-        // and the cells record *identical* hard counters: at the 1-worker
-        // counter pass the scheduling policy is substrate-independent, so
-        // any inequality means a backend changed behavior, not just
-        // threading.
-        for name in gate::BACKEND_PAIRS {
-            let cell_name = format!("backend-{name}");
-            let cell = |mode: &str| {
-                b.cases
-                    .iter()
-                    .find(|c| c.name == cell_name && c.mode == mode)
-                    .unwrap_or_else(|| panic!("{cell_name}/{mode} cell missing"))
-            };
-            let (rayon, mq) = (cell("rayon"), cell("mq"));
-            assert_eq!(
-                rayon.counters_json().to_string(),
-                mq.counters_json().to_string(),
-                "{cell_name}: rayon and mq backends disagree on hard counters"
-            );
-            // Non-vacuity: the pair actually drove MultiQueue traffic.
-            assert!(
-                rayon.counter("mq_pushes") > 0,
-                "{cell_name} recorded no MultiQueue pushes"
-            );
+                .filter(|c| c.name.starts_with(prefix))
+                .collect();
+            assert_eq!(family.len(), groups * axis.len(), "{prefix}* cells");
+            for group in family.chunks(axis.len()) {
+                let first = group[0];
+                for (cell, want_mode) in group.iter().zip(axis) {
+                    assert_eq!(cell.name, first.name, "{prefix}* groups are adjacent");
+                    assert_eq!(cell.mode, want_mode, "{}", cell.key());
+                    assert_eq!(
+                        cell.counters_json().to_string(),
+                        first.counters_json().to_string(),
+                        "{} and {} disagree on hard counters",
+                        cell.key(),
+                        first.key()
+                    );
+                    if let Some(counter) = nonzero {
+                        assert!(
+                            cell.counter(counter) > 0,
+                            "{} recorded no {counter}",
+                            cell.key()
+                        );
+                    }
+                }
+            }
+        }
+        for (key, counter) in [
+            ("kernel-sngind-validate/scalar", "sngind_offsets_validated"),
+            (
+                "kernel-rngind-validate/scalar",
+                "rngind_boundaries_validated",
+            ),
+        ] {
+            let cell = b.cases.iter().find(|c| c.key() == key);
+            let validated = cell.map_or(0, |c| c.counter(counter));
+            assert!(validated > 0, "{key} recorded no {counter}");
         }
     }
 

@@ -605,18 +605,16 @@ mod tests {
         offsets: &[usize],
         len: usize,
     ) -> (Result<(), IndChunksError>, Result<(), IndChunksError>) {
-        use rpb_parlay::simd::{set_forced, KernelImpl};
-        set_forced(KernelImpl::Scalar);
-        let scalar = validate_chunk_offsets(offsets, len);
-        set_forced(KernelImpl::Simd);
-        let simd = validate_chunk_offsets(offsets, len);
-        set_forced(KernelImpl::Auto);
-        (scalar, simd)
+        use rpb_parlay::simd::{pin, KernelImpl};
+        let run = |k| {
+            let _pin = pin(k);
+            validate_chunk_offsets(offsets, len)
+        };
+        (run(KernelImpl::Scalar), run(KernelImpl::Simd))
     }
 
     #[test]
     fn simd_and_scalar_boundary_sweeps_agree() {
-        let _g = rpb_parlay::simd::force_lock();
         let k = if cfg!(miri) { 133 } else { 30_001 }; // odd: tail lanes
         let len = 4 * k;
         // Monotone boundaries with plateaus (equal neighbours are legal).
@@ -682,7 +680,6 @@ mod tests {
 
     #[test]
     fn simd_and_scalar_boundary_sweeps_agree_on_tiny_sizes() {
-        let _g = rpb_parlay::simd::force_lock();
         for k in 0..=9usize {
             let offsets: Vec<usize> = (0..k).map(|i| i * 2).collect();
             let (scalar, simd) = validate_both_impls(&offsets, 2 * k + 1);

@@ -1100,18 +1100,16 @@ mod tests {
         len: usize,
         strategy: UniquenessCheck,
     ) -> (Result<(), IndOffsetsError>, Result<(), IndOffsetsError>) {
-        use rpb_parlay::simd::{set_forced, KernelImpl};
-        set_forced(KernelImpl::Scalar);
-        let scalar = validate_offsets(offsets, len, strategy);
-        set_forced(KernelImpl::Simd);
-        let simd = validate_offsets(offsets, len, strategy);
-        set_forced(KernelImpl::Auto);
-        (scalar, simd)
+        use rpb_parlay::simd::{pin, KernelImpl};
+        let run = |k| {
+            let _pin = pin(k);
+            validate_offsets(offsets, len, strategy)
+        };
+        (run(KernelImpl::Scalar), run(KernelImpl::Simd))
     }
 
     #[test]
     fn simd_and_scalar_sweeps_agree_on_verdicts() {
-        let _g = rpb_parlay::simd::force_lock();
         let n = if cfg!(miri) { 131 } else { 50_003 }; // odd: exercises tail lanes
         for strat in [UniquenessCheck::MarkTable, UniquenessCheck::Bitset] {
             // Clean permutation: both accept.
@@ -1172,7 +1170,6 @@ mod tests {
 
     #[test]
     fn simd_and_scalar_sweeps_agree_on_tiny_and_tail_sizes() {
-        let _g = rpb_parlay::simd::force_lock();
         // The shared-bitmap arm is the one with a vector path. Sizes
         // straddling the 4-lane width: 0..=9 plus a chunk boundary.
         for n in (0..=9).chain([2048, 2049, 2051]) {

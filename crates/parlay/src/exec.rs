@@ -27,11 +27,11 @@
 //! Backend selection: explicit (`executor(kind)`), per-process default
 //! ([`set_default_backend`]), or the `RPB_BACKEND` environment variable.
 
-use std::str::FromStr;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 
 use crate::panics::panic_message;
+use crate::select::Slot;
 
 /// The scheduling backends an [`Executor`] can be registered under.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -46,74 +46,26 @@ pub enum BackendKind {
 /// Every backend, in CLI listing order.
 pub const ALL_BACKENDS: [BackendKind; 2] = [BackendKind::Rayon, BackendKind::Mq];
 
-impl BackendKind {
-    /// Stable label for CLI/report output (`"rayon"` / `"mq"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            BackendKind::Rayon => "rayon",
-            BackendKind::Mq => "mq",
-        }
-    }
+crate::selector! {
+    BackendKind: "backend", ALL_BACKENDS;
+    Rayon = ["rayon"],
+    Mq = ["mq", "multiqueue"],
 }
 
-/// Error for [`BackendKind::from_str`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseBackendError(String);
-
-impl std::fmt::Display for ParseBackendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "unknown backend `{}` (valid: rayon, mq)", self.0)
-    }
-}
-
-impl std::error::Error for ParseBackendError {}
-
-impl FromStr for BackendKind {
-    type Err = ParseBackendError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "rayon" => Ok(BackendKind::Rayon),
-            "mq" | "multiqueue" => Ok(BackendKind::Mq),
-            other => Err(ParseBackendError(other.to_string())),
-        }
-    }
-}
-
-/// Process-wide programmatic default: 0 = unset, 1 = rayon, 2 = mq.
-static DEFAULT: AtomicU8 = AtomicU8::new(0);
+/// Programmatic override > `RPB_BACKEND` > [`BackendKind::Rayon`].
+static DEFAULT: Slot<BackendKind> = Slot::new("RPB_BACKEND");
 
 /// Sets the process default returned by [`default_backend`] (what
 /// `rpb … --backend <b>` does for the figure/gate commands). `None`
 /// clears the override back to `RPB_BACKEND`-or-Rayon resolution.
 pub fn set_default_backend(kind: Option<BackendKind>) {
-    let v = match kind {
-        None => 0,
-        Some(BackendKind::Rayon) => 1,
-        Some(BackendKind::Mq) => 2,
-    };
-    DEFAULT.store(v, Ordering::Relaxed);
+    DEFAULT.set(kind);
 }
 
-/// The backend used when a call site doesn't name one explicitly:
-/// programmatic override ([`set_default_backend`]) > `RPB_BACKEND`
-/// environment variable > [`BackendKind::Rayon`]. An unparsable
-/// `RPB_BACKEND` warns once and falls back to Rayon (never aborts: the
-/// env var may be set for a child tool, not us).
+/// The backend used when a call site doesn't name one explicitly (see
+/// [`Slot::get`] for the resolution order and the warn-once).
 pub fn default_backend() -> BackendKind {
-    match DEFAULT.load(Ordering::Relaxed) {
-        1 => return BackendKind::Rayon,
-        2 => return BackendKind::Mq,
-        _ => {}
-    }
-    static FROM_ENV: OnceLock<BackendKind> = OnceLock::new();
-    *FROM_ENV.get_or_init(|| match std::env::var("RPB_BACKEND") {
-        Err(_) => BackendKind::Rayon,
-        Ok(v) => v.parse().unwrap_or_else(|e| {
-            eprintln!("warning: ignoring RPB_BACKEND: {e}");
-            BackendKind::Rayon
-        }),
-    })
+    DEFAULT.get()
 }
 
 /// Statistics of a completed [`Executor::try_run_batch`].
@@ -398,6 +350,7 @@ pub fn rayon_executor() -> &'static dyn Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::str::FromStr;
     use std::sync::atomic::AtomicUsize;
 
     #[test]

@@ -30,6 +30,7 @@ pub mod panics;
 pub mod random;
 pub mod reduce;
 pub mod scan;
+pub mod select;
 pub mod sendptr;
 pub mod seqdata;
 pub mod simd;
@@ -44,6 +45,7 @@ pub use panics::panic_message;
 pub use random::Random;
 pub use reduce::{max_index, reduce, reduce_with};
 pub use scan::{scan_exclusive, scan_inclusive, scan_inplace_exclusive};
+pub use select::Selector;
 pub use simd::{simd_compiled, simd_enabled, KernelImpl};
 pub use sort::{merge_sort, radix_sort_by_key, radix_sort_u32, radix_sort_u64, sample_sort};
 

@@ -9,17 +9,22 @@
 //! 1. compile-time availability (`feature = "simd"` + `x86_64`),
 //! 2. one-time CPU detection (`is_x86_feature_detected!("avx2")`),
 //! 3. the `RPB_FORCE_SCALAR` environment override (any value but `0`),
-//! 4. a programmatic per-process override ([`set_forced`]) used by the
+//! 4. a programmatic per-process override ([`pin`]) used by the
 //!    differential verifier (`rpb verify --kernel-impl scalar,simd`) and
 //!    the perf gate's scalar/simd kernel cells.
 //!
 //! Forcing [`KernelImpl::Simd`] on a machine without AVX2 (or in a build
 //! without the feature) silently stays on the scalar path — the forced
 //! mode can widen the set of machines that run scalar code, never the
-//! set that runs vectorized code.
+//! set that runs vectorized code. That is also why this axis has no
+//! [`Slot`](crate::select::Slot): `RPB_FORCE_SCALAR` caps detection, so
+//! it beats a `Simd` pin too, where a slot's override would beat its
+//! environment variable.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
+
+use crate::select::Selector;
 
 /// Which kernel implementation to dispatch to.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -34,69 +39,59 @@ pub enum KernelImpl {
     Simd,
 }
 
-impl KernelImpl {
-    /// Stable label for CLI/report output.
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelImpl::Auto => "auto",
-            KernelImpl::Scalar => "scalar",
-            KernelImpl::Simd => "simd",
-        }
-    }
+crate::selector! {
+    KernelImpl: "kernel implementation", [KernelImpl::Auto, KernelImpl::Scalar, KernelImpl::Simd];
+    Auto = ["auto"],
+    Scalar = ["scalar"],
+    Simd = ["simd"],
 }
 
-/// Error for [`KernelImpl::from_str`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseKernelImplError(String);
-
-impl std::fmt::Display for ParseKernelImplError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown kernel implementation `{}` (valid: auto, scalar, simd)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseKernelImplError {}
-
-impl std::str::FromStr for KernelImpl {
-    type Err = ParseKernelImplError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Ok(KernelImpl::Auto),
-            "scalar" => Ok(KernelImpl::Scalar),
-            "simd" => Ok(KernelImpl::Simd),
-            other => Err(ParseKernelImplError(other.to_string())),
-        }
-    }
-}
-
-/// Process-wide programmatic override: 0 = auto, 1 = scalar, 2 = simd.
+/// The programmatic override, as the variant's discriminant (its index
+/// in [`Selector::ALL`]): whatever the live [`DispatchPin`] set, 0 =
+/// [`KernelImpl::Auto`] otherwise.
 static FORCED: AtomicU8 = AtomicU8::new(0);
-
-/// Forces every subsequent dispatch decision (until the next call).
-///
-/// Used by `rpb verify --kernel-impl …` and the perf gate's kernel cells
-/// to pin one implementation per measured run. Process-global: callers
-/// that flip it around a measurement must restore [`KernelImpl::Auto`].
-pub fn set_forced(k: KernelImpl) {
-    let v = match k {
-        KernelImpl::Auto => 0,
-        KernelImpl::Scalar => 1,
-        KernelImpl::Simd => 2,
-    };
-    FORCED.store(v, Ordering::Relaxed);
-}
 
 /// The current programmatic override.
 pub fn forced() -> KernelImpl {
-    match FORCED.load(Ordering::Relaxed) {
-        1 => KernelImpl::Scalar,
-        2 => KernelImpl::Simd,
-        _ => KernelImpl::Auto,
+    KernelImpl::ALL[FORCED.load(Ordering::Relaxed) as usize]
+}
+
+/// A pinned dispatch decision: while it lives, every [`simd_enabled`]
+/// call in the process answers for the pinned implementation; dropping
+/// it — unwinding included — restores [`KernelImpl::Auto`].
+///
+/// The override is process-global, so the pin also holds a global lock:
+/// concurrent differential tests (a scalar run against a simd run) queue
+/// behind each other instead of trampling each other's pin. Not
+/// reentrant — taking a second pin on the same thread deadlocks.
+#[must_use = "the dispatch is pinned only while the pin is alive"]
+pub struct DispatchPin {
+    _lock: MutexGuard<'static, ()>,
+}
+
+/// Serializes pinned sections. A poisoned lock means a pinned section
+/// panicked; its pin restored `Auto` while unwinding, so the state the
+/// lock guards is intact and the poison is safe to clear.
+fn pin_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poison| poison.into_inner())
+}
+
+/// Pins the dispatch to `k` until the returned guard drops.
+///
+/// Used by `rpb verify --kernel-impl …` and the perf gate's kernel cells
+/// to pin one implementation per measured run, and by every
+/// scalar-vs-simd test.
+pub fn pin(k: KernelImpl) -> DispatchPin {
+    let lock = pin_lock();
+    FORCED.store(k as u8, Ordering::Relaxed);
+    DispatchPin { _lock: lock }
+}
+
+impl Drop for DispatchPin {
+    fn drop(&mut self) {
+        // Runs before the lock field is released.
+        FORCED.store(KernelImpl::Auto as u8, Ordering::Relaxed);
     }
 }
 
@@ -134,17 +129,6 @@ pub const fn simd_compiled() -> bool {
     cfg!(all(feature = "simd", target_arch = "x86_64", not(miri)))
 }
 
-/// Serializes sections that pin the dispatch with [`set_forced`].
-///
-/// The forced mode is process-global, so concurrent differential tests
-/// (scalar run vs simd run) would trample each other's pin without a lock.
-/// Production callers (the verifier / gate, which run cells sequentially)
-/// don't need it.
-pub fn force_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poison| poison.into_inner())
-}
-
 /// True when the vectorized fast paths should run right now.
 ///
 /// Cheap enough for per-call dispatch: one relaxed atomic load plus a
@@ -174,23 +158,42 @@ mod tests {
     #[test]
     fn forced_scalar_disables_simd() {
         // Whatever the machine supports, the scalar override must win.
-        let _g = force_lock();
-        let prev = forced();
-        set_forced(KernelImpl::Scalar);
+        let _pin = pin(KernelImpl::Scalar);
         assert!(!simd_enabled());
-        set_forced(prev);
     }
 
     #[test]
     fn forcing_simd_never_exceeds_detection() {
-        let _g = force_lock();
-        let prev = forced();
-        set_forced(KernelImpl::Simd);
-        let forced_on = simd_enabled();
-        set_forced(KernelImpl::Auto);
-        let auto_on = simd_enabled();
-        set_forced(prev);
+        let forced_on = {
+            let _pin = pin(KernelImpl::Simd);
+            simd_enabled()
+        };
+        let auto_on = {
+            let _pin = pin(KernelImpl::Auto);
+            simd_enabled()
+        };
         // Forcing simd may only reproduce the auto decision, not beat it.
         assert_eq!(forced_on, auto_on);
+    }
+
+    #[test]
+    fn a_panic_inside_a_pinned_section_releases_the_pin() {
+        // The bug every scalar-vs-simd test exists to catch is a kernel
+        // that panics under a pin; it must not leave the process pinned
+        // (later differentials would compare scalar with scalar).
+        let unwound = std::panic::catch_unwind(|| {
+            let _pin = pin(KernelImpl::Scalar);
+            assert_eq!(forced(), KernelImpl::Scalar);
+            panic!("kernel bug under a scalar pin");
+        });
+        assert!(unwound.is_err());
+        {
+            // With the lock held no other test's pin is alive, so this
+            // reads what the unwound pin left behind.
+            let _quiet = pin_lock();
+            assert_eq!(forced(), KernelImpl::Auto);
+        }
+        let _second = pin(KernelImpl::Simd);
+        assert_eq!(forced(), KernelImpl::Simd);
     }
 }

@@ -451,8 +451,13 @@ mod tests {
     /// machines or builds without AVX2 the two runs trivially coincide.
     #[test]
     fn simd_and_scalar_paths_sort_identically() {
-        use crate::simd::{set_forced, KernelImpl};
-        let _guard = crate::simd::force_lock();
+        use crate::simd::{pin, KernelImpl};
+        let sorted_under = |k, input: &[u64]| {
+            let _pin = pin(k);
+            let mut v = input.to_vec();
+            radix_sort_u64(&mut v);
+            v
+        };
         let base = if cfg!(miri) { 0 } else { SEQ_CUTOFF };
         for (extra, spread) in [
             (0usize, u64::MAX),
@@ -463,13 +468,8 @@ mod tests {
         ] {
             let n = base + 64 + extra;
             let input: Vec<u64> = (0..n as u64).map(|i| hash64(i) % spread.max(1)).collect();
-            let mut scalar = input.clone();
-            set_forced(KernelImpl::Scalar);
-            radix_sort_u64(&mut scalar);
-            let mut simd = input.clone();
-            set_forced(KernelImpl::Simd);
-            radix_sort_u64(&mut simd);
-            set_forced(KernelImpl::Auto);
+            let scalar = sorted_under(KernelImpl::Scalar, &input);
+            let simd = sorted_under(KernelImpl::Simd, &input);
             assert_eq!(scalar, simd, "n={n} spread={spread}");
             assert!(scalar.windows(2).all(|w| w[0] <= w[1]));
         }

@@ -2,10 +2,9 @@
 //! traits, with `std::sync::mpsc` and `crossbeam` backends.
 //!
 //! Mirrors the executor registry shape of [`rpb_parlay::exec`]: a
-//! [`ChannelKind`] enum with stable labels and `FromStr`, a process-wide
-//! default resolved as programmatic override ([`set_default_channel`]) >
-//! `RPB_CHANNEL` environment variable > [`ChannelKind::Mpsc`], and a
-//! [`bounded`] constructor dispatching on the kind. Call sites hold
+//! [`ChannelKind`] selector with a process-wide default
+//! ([`set_default_channel`] > `RPB_CHANNEL` > [`ChannelKind::Mpsc`]), and
+//! a [`bounded`] constructor dispatching on the kind. Call sites hold
 //! [`BoxSender`]/[`BoxReceiver`] trait objects, so adding a channel
 //! backend never touches them.
 //!
@@ -15,9 +14,9 @@
 //! waking on peer-drop is what makes the pipeline's panic path cascade
 //! to a clean shutdown instead of a deadlock (see `crate::pipeline`).
 
-use std::str::FromStr;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{mpsc, Mutex, OnceLock};
+use std::sync::{mpsc, Mutex};
+
+use rpb_parlay::select::Slot;
 
 /// The channel backends a pipeline can run its stages over.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -33,74 +32,26 @@ pub enum ChannelKind {
 /// Every channel backend, in CLI listing order.
 pub const ALL_CHANNELS: [ChannelKind; 2] = [ChannelKind::Mpsc, ChannelKind::Crossbeam];
 
-impl ChannelKind {
-    /// Stable label for CLI/report output (`"mpsc"` / `"crossbeam"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            ChannelKind::Mpsc => "mpsc",
-            ChannelKind::Crossbeam => "crossbeam",
-        }
-    }
+rpb_parlay::selector! {
+    ChannelKind: "channel", ALL_CHANNELS;
+    Mpsc = ["mpsc", "std"],
+    Crossbeam = ["crossbeam", "cb"],
 }
 
-/// Error for [`ChannelKind::from_str`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseChannelError(String);
-
-impl std::fmt::Display for ParseChannelError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "unknown channel `{}` (valid: mpsc, crossbeam)", self.0)
-    }
-}
-
-impl std::error::Error for ParseChannelError {}
-
-impl FromStr for ChannelKind {
-    type Err = ParseChannelError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "mpsc" | "std" => Ok(ChannelKind::Mpsc),
-            "crossbeam" | "cb" => Ok(ChannelKind::Crossbeam),
-            other => Err(ParseChannelError(other.to_string())),
-        }
-    }
-}
-
-/// Process-wide programmatic default: 0 = unset, 1 = mpsc, 2 = crossbeam.
-static DEFAULT: AtomicU8 = AtomicU8::new(0);
+/// Programmatic override > `RPB_CHANNEL` > [`ChannelKind::Mpsc`].
+static DEFAULT: Slot<ChannelKind> = Slot::new("RPB_CHANNEL");
 
 /// Sets the process default returned by [`default_channel`] (what
 /// `rpb … --channel <c>` does outside the verify matrix). `None` clears
 /// the override back to `RPB_CHANNEL`-or-mpsc resolution.
 pub fn set_default_channel(kind: Option<ChannelKind>) {
-    let v = match kind {
-        None => 0,
-        Some(ChannelKind::Mpsc) => 1,
-        Some(ChannelKind::Crossbeam) => 2,
-    };
-    DEFAULT.store(v, Ordering::Relaxed);
+    DEFAULT.set(kind);
 }
 
-/// The channel backend used when a call site doesn't name one:
-/// programmatic override ([`set_default_channel`]) > `RPB_CHANNEL`
-/// environment variable > [`ChannelKind::Mpsc`]. An unparsable
-/// `RPB_CHANNEL` warns once and falls back to mpsc (never aborts: the
-/// env var may be set for a child tool, not us).
+/// The channel backend used when a call site doesn't name one (see
+/// [`Slot::get`] for the resolution order and the warn-once).
 pub fn default_channel() -> ChannelKind {
-    match DEFAULT.load(Ordering::Relaxed) {
-        1 => return ChannelKind::Mpsc,
-        2 => return ChannelKind::Crossbeam,
-        _ => {}
-    }
-    static FROM_ENV: OnceLock<ChannelKind> = OnceLock::new();
-    *FROM_ENV.get_or_init(|| match std::env::var("RPB_CHANNEL") {
-        Err(_) => ChannelKind::Mpsc,
-        Ok(v) => v.parse().unwrap_or_else(|e| {
-            eprintln!("warning: ignoring RPB_CHANNEL: {e}");
-            ChannelKind::Mpsc
-        }),
-    })
+    DEFAULT.get()
 }
 
 /// Send failed because every receiver was dropped; the unsent item is
@@ -291,6 +242,7 @@ impl<T: Send + 'static> ChannelFactory<T> for CrossbeamFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::str::FromStr;
     use std::sync::Arc;
 
     #[test]

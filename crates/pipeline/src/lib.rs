@@ -30,6 +30,6 @@ pub mod pipeline;
 
 pub use channel::{
     bounded, default_channel, set_default_channel, BoxReceiver, BoxSender, ChannelFactory,
-    ChannelKind, ParseChannelError, Receiver, RecvError, SendError, Sender, ALL_CHANNELS,
+    ChannelKind, Receiver, RecvError, SendError, Sender, ALL_CHANNELS,
 };
 pub use pipeline::{Pipeline, PipelineConfig, PipelineError, PipelineStats, DEFAULT_CAPACITY};

@@ -140,18 +140,17 @@ mod tests {
 
     #[test]
     fn raw_speed_pass_does_not_change_distances() {
-        use rpb_parlay::simd::{force_lock, set_forced, KernelImpl};
+        use rpb_parlay::simd::{pin, KernelImpl};
 
         // Prefetch + edge partitioning must be invisible in the output:
         // forced-scalar and forced-simd runs agree on a hubby graph.
-        let _guard = force_lock();
         let g = inputs::graph(GraphKind::Rmat, if cfg!(miri) { 60 } else { 3000 });
-        set_forced(KernelImpl::Scalar);
-        let scalar = run_par(&g, 0);
-        set_forced(KernelImpl::Simd);
-        let simd = run_par(&g, 0);
-        set_forced(KernelImpl::Auto);
-        assert_eq!(scalar, simd);
+        let run_under = |k| {
+            let _pin = pin(k);
+            run_par(&g, 0)
+        };
+        let scalar = run_under(KernelImpl::Scalar);
+        assert_eq!(scalar, run_under(KernelImpl::Simd));
         assert_eq!(scalar, rpb_graph::seq::bfs(&g, 0));
     }
 }

@@ -22,7 +22,7 @@
 //! multiply-shift ([`Bucketer`]). With `--features simd` on an AVX2
 //! machine the blocked arm additionally buckets four lanes per iteration
 //! into striped count tables (`RPB_FORCE_SCALAR=1` or
-//! [`rpb_parlay::simd::set_forced`] pins the scalar path; outputs are
+//! [`rpb_parlay::simd::pin`] pins the scalar path; outputs are
 //! differentially pinned equal).
 //!
 //! A zero bucket count is a degenerate parameter: every entry point
@@ -596,22 +596,20 @@ mod tests {
 
     #[test]
     fn simd_and_scalar_bucket_counts_agree() {
-        use rpb_parlay::simd::{force_lock, set_forced, KernelImpl};
+        use rpb_parlay::simd::{pin, KernelImpl};
 
         let both = |data: &[u64], nbuckets: usize, range: u64| {
-            set_forced(KernelImpl::Scalar);
-            let scalar = run_par(data, nbuckets, range, ExecMode::Unsafe);
-            set_forced(KernelImpl::Simd);
-            let simd = run_par(data, nbuckets, range, ExecMode::Unsafe);
-            set_forced(KernelImpl::Auto);
+            let run_under = |k| {
+                let _pin = pin(k);
+                run_par(data, nbuckets, range, ExecMode::Unsafe).expect("hist")
+            };
             assert_eq!(
-                scalar.expect("hist"),
-                simd.expect("hist"),
+                run_under(KernelImpl::Scalar),
+                run_under(KernelImpl::Simd),
                 "nbuckets {nbuckets} range {range}"
             );
         };
 
-        let _guard = force_lock();
         let n = if cfg!(miri) { 130 } else { 3 * BLOCK + 17 };
         let data = inputs::exponential(n);
         for (nbuckets, range) in [

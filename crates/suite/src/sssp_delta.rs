@@ -174,17 +174,16 @@ mod tests {
 
     #[test]
     fn raw_speed_pass_does_not_change_distances() {
-        use rpb_parlay::simd::{force_lock, set_forced, KernelImpl};
+        use rpb_parlay::simd::{pin, KernelImpl};
 
-        let _guard = force_lock();
         let g = inputs::weighted_graph(GraphKind::Rmat, if cfg!(miri) { 60 } else { 2000 });
         let delta = default_delta(&g);
-        set_forced(KernelImpl::Scalar);
-        let scalar = run_par(&g, 0, delta).expect("sssp");
-        set_forced(KernelImpl::Simd);
-        let simd = run_par(&g, 0, delta).expect("sssp");
-        set_forced(KernelImpl::Auto);
-        assert_eq!(scalar, simd);
+        let run_under = |k| {
+            let _pin = pin(k);
+            run_par(&g, 0, delta).expect("sssp")
+        };
+        let scalar = run_under(KernelImpl::Scalar);
+        assert_eq!(scalar, run_under(KernelImpl::Simd));
         assert_eq!(scalar, rpb_graph::seq::dijkstra(&g, 0));
     }
 
