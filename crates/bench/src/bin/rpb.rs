@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 
 use rpb_bench::record::{self, EnvInfo};
-use rpb_bench::{figures, RunRecord, Scale, Workloads};
+use rpb_bench::{emit, figures, RunRecord, Scale, Workloads};
 use rpb_parlay::exec::set_default_backend;
 use rpb_parlay::Selector;
 use rpb_pipeline::set_default_channel;
@@ -171,27 +171,33 @@ fn main() {
 
     let mut recs: Vec<RunRecord> = Vec::new();
     match cmd {
-        "table1" => print!("{}", figures::table1()),
-        "table2" => print!("{}", figures::table2(w.expect("workloads"))),
-        "table3" => print!("{}", figures::table3()),
-        "fig3" => print!("{}", figures::fig3()),
-        "fig4" => print!(
-            "{}",
-            figures::fig4(w.expect("workloads"), threads, reps, &mut recs)
-        ),
-        "fig5a" => print!(
-            "{}",
-            figures::fig5a(w.expect("workloads"), threads, reps, &mut recs)
-        ),
-        "fig5b" => print!(
-            "{}",
-            figures::fig5b(w.expect("workloads"), threads, reps, &mut recs)
-        ),
-        "fig6" => print!("{}", figures::fig6_report(scale.seq_len, reps)),
+        "table1" => emit(&figures::table1()),
+        "table2" => emit(&figures::table2(w.expect("workloads"))),
+        "table3" => emit(&figures::table3()),
+        "fig3" => emit(&figures::fig3()),
+        "fig4" => emit(&figures::fig4(
+            w.expect("workloads"),
+            threads,
+            reps,
+            &mut recs,
+        )),
+        "fig5a" => emit(&figures::fig5a(
+            w.expect("workloads"),
+            threads,
+            reps,
+            &mut recs,
+        )),
+        "fig5b" => emit(&figures::fig5b(
+            w.expect("workloads"),
+            threads,
+            reps,
+            &mut recs,
+        )),
+        "fig6" => emit(&figures::fig6_report(scale.seq_len, reps)),
         "verify" => {
             let outcome = rpb_bench::verifier::run_matrix(w.expect("workloads"), &verify_cfg)
                 .unwrap_or_else(|e| die(&e));
-            print!("{}", outcome.rendered);
+            emit(&outcome.rendered);
             if !outcome.failures.is_empty() {
                 std::process::exit(rpb_bench::verifier::EXIT_DIVERGENCE);
             }
@@ -208,7 +214,7 @@ fn main() {
                 // An empty file is a valid "nothing ran yet" report — note
                 // it and exit cleanly rather than failing to parse.
                 if text.trim().is_empty() {
-                    println!("rpb report — no records ({})", path.display());
+                    emit(&format!("rpb report — no records ({})\n", path.display()));
                     empty_files += 1;
                     continue;
                 }
@@ -217,7 +223,7 @@ fn main() {
                 docs.push((path.display().to_string(), doc));
             }
             let outcome = record::render_report_docs(&docs);
-            print!("{}", outcome.rendered);
+            emit(&outcome.rendered);
             for w in &outcome.warnings {
                 eprintln!("rpb report: warning: {w}");
             }
@@ -227,17 +233,17 @@ fn main() {
         }
         "all" => {
             let w = w.expect("workloads");
-            println!("{}", figures::table1());
-            println!("{}", figures::table2(w));
-            println!("{}", figures::table3());
-            println!("{}", figures::fig3());
-            println!("{}", figures::fig4(w, threads, reps, &mut recs));
-            println!("{}", figures::fig5a(w, threads, reps, &mut recs));
-            println!("{}", figures::fig5b(w, threads, reps, &mut recs));
-            println!("{}", figures::fig6_report(scale.seq_len, reps));
+            emit(&(figures::table1() + "\n"));
+            emit(&(figures::table2(w) + "\n"));
+            emit(&(figures::table3() + "\n"));
+            emit(&(figures::fig3() + "\n"));
+            emit(&(figures::fig4(w, threads, reps, &mut recs) + "\n"));
+            emit(&(figures::fig5a(w, threads, reps, &mut recs) + "\n"));
+            emit(&(figures::fig5b(w, threads, reps, &mut recs) + "\n"));
+            emit(&(figures::fig6_report(scale.seq_len, reps) + "\n"));
         }
         _ => {
-            println!(
+            emit(
                 "rpb — regenerate the tables and figures of\n\
                  \"When Is Parallelism Fearless and Zero-Cost with Rust?\" (SPAA'24)\n\n\
                  usage: rpb <table1|table2|table3|fig3|fig4|fig5a|fig5b|fig6|all|verify>\n\
@@ -281,7 +287,7 @@ fn main() {
                  and MultiQueue summaries from such files (v1 files remain\n\
                  readable; unknown schemas warn instead of silently skipping).\n\
                  `rpb gate` records and checks committed perf baselines — see\n\
-                 `rpb gate` with no arguments and EXPERIMENTS.md."
+                 `rpb gate` with no arguments and EXPERIMENTS.md.\n",
             );
         }
     }

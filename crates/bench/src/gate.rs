@@ -561,7 +561,9 @@ const KERNELS: [(&str, Kernel); 4] = [
             );
         })
     }),
-    // Digit extraction + block counting over every radix pass.
+    // Digit extraction + block counting: every radix pass counts, also
+    // the constant-digit ones that both pins then skip — the pins differ
+    // in the histogram kernel alone.
     ("kernel-radix", |w, reps| {
         time_best(reps, || {
             let mut v = w.seq.clone();
@@ -1258,11 +1260,10 @@ fn try_cli(sub: &str, flags: &[String]) -> Result<i32, String> {
 /// Prints the summary table, the per-metric diff and — on stderr — the
 /// schema-mismatch note of a comparison.
 fn print_comparison(cmp: &Comparison) {
-    print!("{}", cmp.table);
+    crate::emit(&cmp.table);
     let diff = render_violations(cmp);
     if !diff.is_empty() {
-        println!("\nDrifted metrics:");
-        print!("{diff}");
+        crate::emit(&format!("\nDrifted metrics:\n{diff}"));
     }
     if cmp.has_schema() {
         eprintln!(
@@ -1278,7 +1279,7 @@ fn print_comparison(cmp: &Comparison) {
 /// Outside a pin, [`simd::simd_enabled`] is the detection bit — exactly
 /// what the `simd` pin dispatched on.
 fn print_kernel_speedups(b: &Baseline) {
-    print!("{}", render_kernel_speedups(b, simd::simd_enabled()));
+    crate::emit(&render_kernel_speedups(b, simd::simd_enabled()));
 }
 
 fn build_gate_workloads() -> Workloads {

@@ -44,6 +44,20 @@ pub use workloads::Workloads;
 
 use std::time::{Duration, Instant};
 
+/// Writes pre-rendered text to stdout — the one way the `rpb` binary and
+/// the gate CLI print. A closed pipe (`rpb … | head`) is not a failure:
+/// the reader has what it asked for, so the text is dropped and the
+/// command goes on to the exit code it would have had. Any other write
+/// error panics, as `print!` does.
+pub fn emit(text: &str) {
+    use std::io::{ErrorKind, Write};
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => panic!("failed printing to stdout: {e}"),
+        _ => {}
+    }
+}
+
 /// Result of one timed measurement: best, mean, and robust order
 /// statistics (median and median absolute deviation) over the measured
 /// repetitions (warmup excluded).

@@ -110,3 +110,20 @@ fn channel_flag_grammar_is_enforced() {
     let out = rpb(&["verify", "--streaming", "--channel", "bogus"]);
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
 }
+
+#[test]
+fn a_closed_stdout_pipe_is_not_a_panic() {
+    // `rpb table1 | head -0`: the read end is gone before, while or after
+    // the table is written — whichever side wins, the command succeeded.
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rpb"))
+        .arg("table1")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rpb");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for rpb");
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+}

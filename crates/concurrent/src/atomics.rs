@@ -68,8 +68,10 @@ where
 /// the same layout as `u64`.
 pub fn as_atomic_u64(slice: &mut [u64]) -> &[AtomicU64] {
     // SAFETY: AtomicU64 is #[repr(C, align(8))] with the same size as u64;
-    // the exclusive borrow guarantees we hold the only reference.
-    unsafe { std::slice::from_raw_parts(slice.as_ptr() as *const AtomicU64, slice.len()) }
+    // the exclusive borrow guarantees we hold the only reference, and the
+    // pointer comes from `as_mut_ptr`, so stores through the view are
+    // writes that pointer is allowed to make.
+    unsafe { std::slice::from_raw_parts(slice.as_mut_ptr() as *const AtomicU64, slice.len()) }
 }
 
 /// Reinterprets `&mut [usize]` as `&[AtomicUsize]`.
@@ -77,7 +79,7 @@ pub fn as_atomic_usize(slice: &mut [usize]) -> &[std::sync::atomic::AtomicUsize]
     // SAFETY: as in `as_atomic_u64`.
     unsafe {
         std::slice::from_raw_parts(
-            slice.as_ptr() as *const std::sync::atomic::AtomicUsize,
+            slice.as_mut_ptr() as *const std::sync::atomic::AtomicUsize,
             slice.len(),
         )
     }

@@ -85,8 +85,9 @@ impl Graph {
         {
             use std::sync::atomic::{AtomicUsize, Ordering};
             let acounts: &[AtomicUsize] = unsafe {
-                // SAFETY: exclusive borrow reinterpreted as atomics.
-                std::slice::from_raw_parts(counts.as_ptr() as *const AtomicUsize, counts.len())
+                // SAFETY: exclusive borrow reinterpreted as atomics, through
+                // a pointer with write permission (`as_mut_ptr`).
+                std::slice::from_raw_parts(counts.as_mut_ptr() as *const AtomicUsize, counts.len())
             };
             edges.par_iter().for_each(|&(u, _)| {
                 acounts[u as usize].fetch_add(1, Ordering::Relaxed);

@@ -130,16 +130,13 @@ define_metrics! {
             "Executor runs aborted because a task panicked.",
         EXEC_TASKS_DRAINED => "exec_tasks_drained":
             "Queued tasks dropped while unwinding a panicked executor run.",
-        // rpb-parlay: radix-sort raw-speed pass (scratch reuse + AVX2).
-        RADIX_SCRATCH_BYTES_SAVED => "radix_scratch_bytes_saved":
-            "Bytes of per-pass counts/transposed scratch allocation avoided \
-             by reusing one buffer pair across radix digit passes.",
+        // rpb-parlay: radix-sort raw-speed pass (pass skipping + AVX2).
         RADIX_SIMD_PASSES => "radix_simd_passes":
             "Radix counting-sort passes whose digit histogram ran on the \
              AVX2 path.",
         RADIX_TRIVIAL_PASSES_ELIDED => "radix_trivial_passes_elided":
-            "Radix passes reduced to a block copy because a single digit \
-             bucket held every element (fast path only).",
+            "Radix passes skipped because a single digit bucket held every \
+             element (the stable scatter would be the identity).",
         // SIMD dispatch accounting (never hard-gated: these legitimately
         // differ between scalar and simd kernel implementations).
         SNGIND_SIMD_SWEEPS => "sngind_simd_sweeps":

@@ -11,6 +11,10 @@
 //! * [`mod@scan`] — inclusive/exclusive prefix sums over arbitrary monoids,
 //! * [`mod@reduce`] — parallel reductions,
 //! * [`mod@pack`] — pack/filter/flatten,
+//! * [`mod@counting`] — the blocked stable counting pass (per-block
+//!   histogram → column-major scan → scatter; ParlayLib's `count_sort`
+//!   core), shared by the radix sort, the sample sort, the `isort`
+//!   benchmark and the BWT's LF mapping,
 //! * [`mod@sort`] — stable LSD radix sort, sample sort, and merge sort,
 //! * [`mod@list_rank`] — sampling-based parallel list ranking (used by `bw`),
 //! * [`mod@random`] — the PBBS 64-bit hash / counter-based RNG,
@@ -23,6 +27,7 @@
 //! Rust over Rayon with zero-cost static checks.
 
 pub mod collect_reduce;
+pub mod counting;
 pub mod exec;
 pub mod list_rank;
 pub mod pack;
@@ -39,6 +44,7 @@ pub mod sort;
 pub mod stencil;
 
 pub use collect_reduce::{collect_reduce_dense, collect_reduce_sparse, count_by_key};
+pub use counting::CountingPass;
 pub use exec::{default_backend, BackendKind, Executor};
 pub use pack::{filter, flatten, pack, pack_index};
 pub use panics::panic_message;

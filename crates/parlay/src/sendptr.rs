@@ -1,8 +1,8 @@
 //! A `Send + Sync` raw-pointer wrapper for scan-proven disjoint scatters.
 //!
-//! Several primitives in this crate (pack, flatten, radix and sample sort)
-//! write to data-dependent destinations that an exclusive scan has proven
-//! disjoint. That is exactly the paper's `SngInd`/`RngInd` situation: the
+//! Several primitives in this crate (pack, flatten, and the counting pass
+//! under the radix and sample sorts) write to data-dependent destinations
+//! that an exclusive scan has proven disjoint. That is exactly the paper's `SngInd`/`RngInd` situation: the
 //! algorithm guarantees independence, but `rustc` cannot see it. `SendPtr`
 //! is the minimal interior-unsafe escape hatch those primitives encapsulate
 //! behind safe APIs — the same technique Rayon uses inside

@@ -1,76 +1,44 @@
 //! Stable LSD radix sort over 8-bit digits.
 //!
-//! This is the classic PBBS blocked counting sort applied digit by digit:
-//! per-block histograms (`Block` pattern), a column-major exclusive scan of
-//! the histogram matrix, then a scatter where every (block, digit) pair owns
-//! a contiguous, provably disjoint destination range. The scatter is the
-//! `SngInd` pattern of the paper — destinations are data-dependent — but the
-//! scan establishes disjointness, so the interior-unsafe write is sound;
-//! it is encapsulated here the same way Rayon encapsulates `collect`.
+//! The blocked counting sort of PBBS applied digit by digit: every pass is
+//! one [`CountingPass`] (per-block digit histograms, the column-major scan,
+//! the scan-proven `SngInd` scatter — see [`crate::counting`]) between
+//! `data` and one scratch buffer, ping-pong.
 //!
-//! Raw-speed details:
+//! Raw-speed details, both independent of the build:
 //!
-//! * the `counts`/`transposed` histogram matrices are allocated **once** per
-//!   sort and reused across digit passes (they are shape-identical for every
-//!   pass), instead of being reallocated per pass;
-//! * with the `simd` feature and a runtime-detected AVX2 CPU,
-//!   [`radix_sort_u64`] takes a specialized fast path whose digit histogram
-//!   is vectorized (4 keys per load, 4-way striped count tables to break the
-//!   store-forwarding dependency chain on skewed digit distributions) and
-//!   which elides passes whose histogram shows a single occupied bucket —
-//!   the scatter would be the identity permutation, so a block copy
-//!   suffices. The scalar code below remains the mandatory fallback and the
-//!   differential oracle (`rpb verify --kernel-impl scalar,simd`).
+//! * the count matrices are allocated once per sort and reused by every
+//!   digit pass;
+//! * a pass whose histogram shows one occupied digit is skipped outright —
+//!   its stable scatter would be the identity permutation, so nothing
+//!   moves and the ping-pong does not flip. (Frequent in practice: keys
+//!   bounded far below `2^key_bits` make every high digit 0.)
+//!
+//! The `simd` feature swaps one kernel into that shared loop: on a
+//! runtime-detected AVX2 CPU [`radix_sort_u64`] counts digits with a
+//! vectorized histogram (4 keys per load, 4-way striped count tables to
+//! break the store-forwarding dependency chain on skewed digit
+//! distributions). The scalar histogram remains the mandatory fallback and
+//! the differential oracle (`rpb verify --kernel-impl scalar,simd`).
 
-use rayon::prelude::*;
+use std::mem::MaybeUninit;
 
-use crate::scan::scan_inplace_exclusive;
-use crate::sendptr::SendPtr;
+use crate::counting::CountingPass;
 
 const RADIX_BITS: u32 = 8;
 const BUCKETS: usize = 1 << RADIX_BITS;
 /// Sequential cutoff: below this a comparison sort is faster and simpler.
 const SEQ_CUTOFF: usize = 1 << 14;
 
-/// Per-sort histogram scratch, reused across digit passes.
-///
-/// Every pass needs the same `nblocks * BUCKETS` matrix twice (row-major
-/// per-block counts and its column-major transpose for the stable scan);
-/// allocating the pair once per sort instead of twice per pass removes
-/// `2 * (passes - 1)` transient allocations from the hot loop.
-struct PassScratch {
-    counts: Vec<usize>,
-    transposed: Vec<usize>,
-}
-
-impl PassScratch {
-    fn new() -> Self {
-        PassScratch {
-            counts: Vec::new(),
-            transposed: Vec::new(),
-        }
-    }
-
-    /// Hands out the two matrices sized for `nblocks`, allocating only on
-    /// first use. Contents are unspecified: the histogram pass fully
-    /// rewrites `counts` and the transpose fully rewrites `transposed`.
-    fn matrices(&mut self, nblocks: usize) -> (&mut [usize], &mut [usize]) {
-        let want = nblocks * BUCKETS;
-        if self.counts.len() != want {
-            self.counts.resize(want, 0);
-            self.transposed.resize(want, 0);
-        }
-        (&mut self.counts[..want], &mut self.transposed[..want])
-    }
-
-    /// Bytes of allocation avoided per pass that reuses the matrices.
-    fn bytes_per_pass(nblocks: usize) -> u64 {
-        2 * (nblocks * BUCKETS * std::mem::size_of::<usize>()) as u64
-    }
+/// The 8-bit digit of `key` at bit `shift`.
+#[inline]
+fn digit(key: u64, shift: u32) -> usize {
+    ((key >> shift) & (BUCKETS as u64 - 1)) as usize
 }
 
 /// Stable parallel radix sort of `data` by `key(x)`, using the low
-/// `key_bits` bits of the key.
+/// `key_bits` bits of the key. `key` must be a pure function of its
+/// argument: every pass evaluates it once to count and once to scatter.
 ///
 /// `key_bits` lets callers skip passes over known-zero digits (e.g. ranks
 /// bounded by `n` in suffix-array construction).
@@ -86,116 +54,61 @@ where
     T: Copy + Send + Sync,
     F: Fn(&T) -> u64 + Send + Sync,
 {
-    let n = data.len();
-    if n <= 1 {
-        return;
-    }
-    if n < SEQ_CUTOFF {
+    if data.len() < SEQ_CUTOFF {
         data.sort_by_key(|x| key(x));
         return;
     }
-    let passes = key_bits.div_ceil(RADIX_BITS).max(1);
-    let mut buf: Vec<T> = Vec::with_capacity(n);
-    // SAFETY: `buf` is used strictly as a scatter target; every pass writes
-    // all `n` slots before they are read (counting sort is a permutation).
-    #[allow(clippy::uninit_vec)]
-    unsafe {
-        buf.set_len(n)
-    };
-    let block = block_size(n);
-    let mut scratch = PassScratch::new();
-    let mut src_is_data = true;
-    for pass in 0..passes {
-        let shift = pass * RADIX_BITS;
-        if src_is_data {
-            counting_sort_pass(data, &mut buf, shift, &key, block, &mut scratch);
-        } else {
-            counting_sort_pass(&buf, data, shift, &key, block, &mut scratch);
-        }
-        src_is_data = !src_is_data;
-    }
-    if !src_is_data {
-        data.copy_from_slice(&buf);
-    }
-    if passes > 1 {
-        rpb_obs::metrics::RADIX_SCRATCH_BYTES_SAVED
-            .add((passes as u64 - 1) * PassScratch::bytes_per_pass(n.div_ceil(block)));
-    }
-}
-
-/// Block size used by every pass of one sort (the matrices in
-/// [`PassScratch`] assume it stays fixed).
-fn block_size(n: usize) -> usize {
-    let nblocks = rayon::current_num_threads().max(1) * 4;
-    n.div_ceil(nblocks).max(1)
-}
-
-/// One stable counting-sort pass on digit `shift..shift+8`.
-fn counting_sort_pass<T, F>(
-    src: &[T],
-    dst: &mut [T],
-    shift: u32,
-    key: &F,
-    block: usize,
-    scratch: &mut PassScratch,
-) where
-    T: Copy + Send + Sync,
-    F: Fn(&T) -> u64 + Send + Sync,
-{
-    let n = src.len();
-    let nblocks = n.div_ceil(block);
-    let (counts, transposed) = scratch.matrices(nblocks);
-    // Per-block digit histograms, written straight into the reused matrix
-    // (each block row is zeroed and fully rebuilt here).
-    counts
-        .par_chunks_mut(BUCKETS)
-        .zip(src.par_chunks(block))
-        .for_each(|(hist, chunk)| {
-            hist.fill(0);
-            for x in chunk {
-                hist[((key(x) >> shift) & (BUCKETS as u64 - 1)) as usize] += 1;
-            }
-        });
-    column_scan(counts, transposed, nblocks);
-    // Scatter: block b writes each element to its digit's running offset.
-    // Destination ranges per (block, digit) are disjoint by the scan.
-    let dst_ptr = SendPtr::new(dst.as_mut_ptr());
-    src.par_chunks(block).enumerate().for_each(|(b, chunk)| {
-        let mut offs: [usize; BUCKETS] = [0; BUCKETS];
-        offs.copy_from_slice(&counts[b * BUCKETS..(b + 1) * BUCKETS]);
-        for &x in chunk {
-            let d = ((key(&x) >> shift) & (BUCKETS as u64 - 1)) as usize;
-            // SAFETY: offs[d] walks the half-open range owned exclusively by
-            // (block b, digit d); ranges partition 0..n.
-            unsafe { dst_ptr.write(offs[d], x) };
-            offs[d] += 1;
+    sort_passes(data, key_bits, &key, |chunk, shift, hist| {
+        for x in chunk {
+            hist[digit(key(x), shift)] += 1;
         }
     });
 }
 
-/// Column-major exclusive scan of the `nblocks x BUCKETS` histogram matrix:
-/// the offset of (digit d, block b) becomes the count of all smaller digits
-/// plus the same digit in earlier blocks — that ordering is what makes the
-/// sort stable. `counts` is rewritten in place with the scanned offsets.
-fn column_scan(counts: &mut [usize], transposed: &mut [usize], nblocks: usize) {
-    for b in 0..nblocks {
-        for d in 0..BUCKETS {
-            transposed[d * nblocks + b] = counts[b * BUCKETS + d];
+/// The pass loop every entry point shares. `histogram(chunk, shift, hist)`
+/// adds each item's digit at `shift` into the zeroed `hist` — the one
+/// kernel the `simd` feature replaces.
+fn sort_passes<T, K, H>(data: &mut [T], key_bits: u32, key: K, histogram: H)
+where
+    T: Copy + Send + Sync,
+    K: Fn(&T) -> u64 + Send + Sync,
+    H: Fn(&[T], u32, &mut [usize]) + Sync,
+{
+    let mut pass = CountingPass::new(data.len(), BUCKETS);
+    let mut buf = Box::<[T]>::new_uninit_slice(data.len());
+    // SAFETY: `MaybeUninit<T>` has `T`'s layout, and every store made
+    // through this view is of initialised `T`s: a scatter's, or the final
+    // copy out of a buffer a scatter filled.
+    let data = unsafe { &mut *(data as *mut [T] as *mut [MaybeUninit<T>]) };
+    // Ping-pong: `src` holds the keys as sorted so far. A skipped pass
+    // swaps nothing, so `buf` stays unread until a pass has filled it.
+    let (mut src, mut dst) = (data, &mut buf[..]);
+    let mut in_buf = false;
+    for shift in (0..key_bits.div_ceil(RADIX_BITS).max(1)).map(|pass| pass * RADIX_BITS) {
+        // SAFETY: `src` is `data`, initialised by the caller, or was the
+        // target of a scatter, which initialised all of its slots.
+        let sorted = unsafe { &*(&*src as *const [MaybeUninit<T>] as *const [T]) };
+        if pass.count_with(|items, hist| histogram(&sorted[items], shift, hist)) {
+            rpb_obs::metrics::RADIX_TRIVIAL_PASSES_ELIDED.add(1);
+            continue;
         }
+        pass.scan();
+        pass.scatter(sorted, dst, |items| {
+            sorted[items].iter().map(|x| digit(key(x), shift))
+        });
+        std::mem::swap(&mut src, &mut dst);
+        in_buf = !in_buf;
     }
-    scan_inplace_exclusive(transposed, 0, |a, b| a + b);
-    for b in 0..nblocks {
-        for d in 0..BUCKETS {
-            counts[b * BUCKETS + d] = transposed[d * nblocks + b];
-        }
+    if in_buf {
+        dst.copy_from_slice(src);
     }
 }
 
 /// Sorts `u64` values ascending.
 ///
-/// With the `simd` feature on a runtime-detected AVX2 CPU this dispatches
-/// to a vectorized-histogram fast path (see the module docs); otherwise —
-/// including under `RPB_FORCE_SCALAR=1` or a forced scalar
+/// With the `simd` feature on a runtime-detected AVX2 CPU the digit
+/// histograms are vectorized (see the module docs); otherwise — including
+/// under `RPB_FORCE_SCALAR=1` or a forced scalar
 /// [`crate::simd::KernelImpl`] — it is exactly the generic scalar sort.
 pub fn radix_sort_u64(data: &mut [u64]) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -206,9 +119,15 @@ pub fn radix_sort_u64(data: &mut [u64]) {
             && data.len() <= u32::MAX as usize
             && crate::simd::simd_enabled()
         {
-            // SAFETY: `simd_enabled()` just confirmed AVX2 support on this
-            // CPU (the fn's only safety requirement).
-            unsafe { avx2::radix_sort_u64_avx2(data) };
+            rpb_obs::metrics::RADIX_SIMD_PASSES.add(u64::from(64 / RADIX_BITS));
+            sort_passes(
+                data,
+                64,
+                |&x| x,
+                // SAFETY: `simd_enabled()` just confirmed AVX2 support on
+                // this CPU (the fn's only safety requirement).
+                |chunk, shift, hist| unsafe { avx2::digit_histogram(chunk, shift, hist) },
+            );
             return;
         }
     }
@@ -220,108 +139,12 @@ pub fn radix_sort_u32(data: &mut [u32]) {
     radix_sort_by_key(data, 32, |&x| x as u64);
 }
 
-/// AVX2 fast path for [`radix_sort_u64`]. Same blocked counting sort and
-/// identical output (a stable sort of `u64` keys is fully determined by the
-/// values); only the per-pass digit histogram and the trivial-pass handling
-/// differ from the scalar pass.
+/// The AVX2 kernel of [`radix_sort_u64`]: the per-block digit histogram.
+/// Everything else of a pass — the skip, the scan, the scatter (its
+/// data-dependent stores do not vectorize) — is the shared loop's.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx2 {
-    use super::*;
-
-    /// Vectorized radix sort.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 (callers establish this through
-    /// [`crate::simd::simd_enabled`]).
-    pub unsafe fn radix_sort_u64_avx2(data: &mut [u64]) {
-        let n = data.len();
-        debug_assert!(n >= 2);
-        let passes = 64 / RADIX_BITS;
-        let mut buf: Vec<u64> = Vec::with_capacity(n);
-        // SAFETY: `buf` is used strictly as a scatter/copy target; every
-        // pass writes all `n` slots before they are read.
-        #[allow(clippy::uninit_vec)]
-        unsafe {
-            buf.set_len(n)
-        };
-        let block = block_size(n);
-        let mut scratch = PassScratch::new();
-        let mut src_is_data = true;
-        for pass in 0..passes {
-            let shift = pass * RADIX_BITS;
-            if src_is_data {
-                // SAFETY: AVX2 availability is this fn's own contract.
-                unsafe { pass_avx2(data, &mut buf, shift, block, &mut scratch) };
-            } else {
-                // SAFETY: as above.
-                unsafe { pass_avx2(&buf, data, shift, block, &mut scratch) };
-            }
-            src_is_data = !src_is_data;
-        }
-        if !src_is_data {
-            data.copy_from_slice(&buf);
-        }
-        rpb_obs::metrics::RADIX_SCRATCH_BYTES_SAVED
-            .add((passes as u64 - 1) * PassScratch::bytes_per_pass(n.div_ceil(block)));
-    }
-
-    /// One counting-sort pass with an AVX2 histogram and trivial-pass
-    /// elision.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    unsafe fn pass_avx2(
-        src: &[u64],
-        dst: &mut [u64],
-        shift: u32,
-        block: usize,
-        scratch: &mut PassScratch,
-    ) {
-        let n = src.len();
-        let nblocks = n.div_ceil(block);
-        let (counts, transposed) = scratch.matrices(nblocks);
-        counts
-            .par_chunks_mut(BUCKETS)
-            .zip(src.par_chunks(block))
-            .for_each(|(hist, chunk)| {
-                // SAFETY: AVX2 availability is the enclosing fn's contract.
-                unsafe { digit_histogram(chunk, shift, hist) };
-            });
-        rpb_obs::metrics::RADIX_SIMD_PASSES.add(1);
-        // Trivial pass: if the first occupied digit holds all n elements,
-        // the stable scatter is the identity permutation — a block copy
-        // preserves the ping-pong invariant at memcpy speed. (Frequent in
-        // practice: keys bounded far below 2^64 make every high digit 0.)
-        for d in 0..BUCKETS {
-            let total: usize = (0..nblocks).map(|b| counts[b * BUCKETS + d]).sum();
-            if total == 0 {
-                continue;
-            }
-            if total == n {
-                rpb_obs::metrics::RADIX_TRIVIAL_PASSES_ELIDED.add(1);
-                dst.par_chunks_mut(block)
-                    .zip(src.par_chunks(block))
-                    .for_each(|(d, s)| d.copy_from_slice(s));
-                return;
-            }
-            break;
-        }
-        column_scan(counts, transposed, nblocks);
-        // Scatter: identical to the scalar pass (data-dependent stores do
-        // not vectorize; the digit recompute is a shift+mask).
-        let dst_ptr = SendPtr::new(dst.as_mut_ptr());
-        src.par_chunks(block).enumerate().for_each(|(b, chunk)| {
-            let mut offs: [usize; BUCKETS] = [0; BUCKETS];
-            offs.copy_from_slice(&counts[b * BUCKETS..(b + 1) * BUCKETS]);
-            for &x in chunk {
-                let d = ((x >> shift) & (BUCKETS as u64 - 1)) as usize;
-                // SAFETY: offs[d] walks the half-open range owned
-                // exclusively by (block b, digit d); ranges partition 0..n.
-                unsafe { dst_ptr.write(offs[d], x) };
-                offs[d] += 1;
-            }
-        });
-    }
+    use super::BUCKETS;
 
     /// AVX2 digit histogram: extracts the 8-bit digit at `shift` from 4
     /// keys per 256-bit load and counts into 4 striped tables, merged at
@@ -333,7 +156,7 @@ mod avx2 {
     /// # Safety
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    unsafe fn digit_histogram(chunk: &[u64], shift: u32, hist: &mut [usize]) {
+    pub unsafe fn digit_histogram(chunk: &[u64], shift: u32, hist: &mut [usize]) {
         use std::arch::x86_64::*;
         debug_assert_eq!(hist.len(), BUCKETS);
         debug_assert!(chunk.len() <= u32::MAX as usize);
@@ -358,7 +181,7 @@ mod avx2 {
         }
         // Remainder lanes (n % 4) go through the scalar digit extract.
         while i < n {
-            stripes[0][((chunk[i] >> shift) & (BUCKETS as u64 - 1)) as usize] += 1;
+            stripes[0][super::digit(chunk[i], shift)] += 1;
             i += 1;
         }
         for (b, slot) in hist.iter_mut().enumerate() {
@@ -442,6 +265,44 @@ mod tests {
         let mut v: Vec<u64> = (0..50_000).rev().collect();
         radix_sort_u64(&mut v);
         assert!(v.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// Pass skipping under both dispatches: which digits are live decides
+    /// how many passes move data — none (the scratch buffer is never
+    /// read), an odd number (the result ends in the scratch buffer and is
+    /// copied back) or an even number (it ends in `data`) — and a skipped
+    /// pass must not flip the ping-pong. The dead digits hold a non-zero
+    /// constant, so the sole bucket is not bucket 0.
+    #[test]
+    fn skipped_passes_keep_the_ping_pong_straight() {
+        use crate::simd::{pin, KernelImpl};
+        let n = SEQ_CUTOFF + 123;
+        for (live, what) in [
+            (0u64, "all keys equal"),
+            (0xFF00, "digit 0 constant, digit 1 live"),
+            (0xFF << 56, "only the top digit live"),
+            (0x00FF_00FF, "two moving passes with a skipped one between"),
+            (0x00FF_FFFF, "three moving passes"),
+        ] {
+            let input: Vec<u64> = (0..n as u64)
+                .map(|i| (hash64(i) & live) | (0x0102_0304_0506_0708 & !live))
+                .collect();
+            let mut want = input.clone();
+            want.sort_unstable();
+            for kernel in [KernelImpl::Scalar, KernelImpl::Simd] {
+                let _pin = pin(kernel);
+                let mut v = input.clone();
+                radix_sort_u64(&mut v);
+                assert_eq!(v, want, "{what} under {kernel:?}");
+            }
+            // The generic entry point, with a payload that shows stability.
+            let mut pairs: Vec<(u64, usize)> = input.iter().copied().zip(0..).collect();
+            radix_sort_by_key(&mut pairs, 64, |p| p.0);
+            assert!(
+                pairs.windows(2).all(|w| w[0] < w[1]),
+                "{what}: (key, index) pairs must ascend"
+            );
+        }
     }
 
     /// Scalar-vs-fast-path differential: both dispatch outcomes of

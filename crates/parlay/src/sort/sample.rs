@@ -2,17 +2,20 @@
 //!
 //! PBBS's comparison sort: take an oversampled random sample, sort it, pick
 //! evenly spaced pivots, classify every element into a bucket (read-only),
-//! scatter elements into bucket-contiguous positions (destinations derived
-//! from a scan of per-block bucket counts), then sort each bucket in
-//! parallel. The bucket boundaries are exactly the `RngInd` pattern the
-//! paper studies: contiguous chunks whose offsets come from run-time data,
-//! made safe because scan output is monotone by construction.
+//! group the elements by bucket with one [`CountingPass`], then sort each
+//! bucket in parallel. The bucket boundaries the pass's scan returns are
+//! exactly the `RngInd` pattern the paper studies: contiguous chunks whose
+//! offsets come from run-time data, monotone by construction. How the
+//! bucket phase expresses that is the caller's choice
+//! ([`sample_sort_with`]); [`sample_sort`] carves with `split_at_mut`.
+
+use std::cmp::Ordering;
+use std::ops::Range;
 
 use rayon::prelude::*;
 
+use crate::counting::CountingPass;
 use crate::random::Random;
-use crate::scan::scan_inplace_exclusive;
-use crate::sendptr::SendPtr;
 
 /// Below this size, delegate to the standard library's sequential sort.
 const SEQ_CUTOFF: usize = 1 << 14;
@@ -30,7 +33,35 @@ const OVERSAMPLE: usize = 8;
 pub fn sample_sort<T, F>(data: &mut [T], cmp: F)
 where
     T: Copy + Send + Sync,
-    F: Fn(&T, &T) -> std::cmp::Ordering + Send + Sync,
+    F: Fn(&T, &T) -> Ordering + Send + Sync,
+{
+    // Block-on-RngInd, statically safe: the chunk list is carved off the
+    // front of the buffer one boundary at a time.
+    sample_sort_with(data, cmp, |mut rest, bounds, cmp| {
+        let mut buckets: Vec<&mut [T]> = Vec::with_capacity(bounds.len() - 1);
+        for w in bounds.windows(2) {
+            let (head, tail) = rest.split_at_mut(w[1] - w[0]);
+            buckets.push(head);
+            rest = tail;
+        }
+        buckets
+            .into_par_iter()
+            .for_each(|bucket| bucket.sort_unstable_by(cmp));
+    });
+}
+
+/// [`sample_sort`] with the bucket phase left to the caller:
+/// `sort_buckets(grouped, bounds, &cmp)` receives the elements grouped by
+/// bucket and the `nbuckets + 1` bucket boundaries (`bounds[0] == 0`,
+/// monotone, `bounds[nbuckets] == grouped.len()`; every element of bucket
+/// `d` compares `<=` every element of bucket `d + 1`) and must leave each
+/// `grouped[bounds[d]..bounds[d + 1]]` sorted. Inputs below the sequential
+/// cutoff are sorted directly and never reach it.
+pub fn sample_sort_with<T, F, B>(data: &mut [T], cmp: F, sort_buckets: B)
+where
+    T: Copy + Send + Sync,
+    F: Fn(&T, &T) -> Ordering + Send + Sync,
+    B: FnOnce(&mut [T], &[usize], &F),
 {
     let n = data.len();
     if n < SEQ_CUTOFF {
@@ -47,81 +78,25 @@ where
     sample.sort_unstable_by(&cmp);
     let pivots: Vec<T> = (1..nbuckets).map(|i| sample[i * OVERSAMPLE]).collect();
 
-    // 2. Classify each element (read-only over data + pivots).
-    let bucket_of = |x: &T| -> usize {
-        // partition_point: first pivot greater than x.
-        pivots.partition_point(|p| cmp(p, x) != std::cmp::Ordering::Greater)
-    };
-    let nblocks = rayon::current_num_threads().max(1) * 4;
-    let block = n.div_ceil(nblocks).max(1);
-    let nblocks = n.div_ceil(block);
-    let ids: Vec<u32> = data.par_iter().map(|x| bucket_of(x) as u32).collect();
-
-    // 3. Per-block bucket counts, column-major scan for stability-style
-    //    disjoint destination ranges.
-    let mut counts: Vec<usize> = ids
-        .par_chunks(block)
-        .flat_map_iter(|chunk| {
-            let mut hist = vec![0usize; nbuckets];
-            for &b in chunk {
-                hist[b as usize] += 1;
-            }
-            hist.into_iter()
-        })
+    // 2. Classify each element (read-only over data + pivots): its bucket
+    //    is the number of pivots not greater than it.
+    let ids: Vec<u32> = data
+        .par_iter()
+        .map(|x| pivots.partition_point(|p| cmp(p, x) != Ordering::Greater) as u32)
         .collect();
-    let mut transposed = vec![0usize; nblocks * nbuckets];
-    for b in 0..nblocks {
-        for d in 0..nbuckets {
-            transposed[d * nblocks + b] = counts[b * nbuckets + d];
-        }
-    }
-    scan_inplace_exclusive(&mut transposed, 0, |a, b| a + b);
-    // Bucket start offsets (for step 5) before folding back.
-    let bucket_starts: Vec<usize> = (0..nbuckets).map(|d| transposed[d * nblocks]).collect();
-    for b in 0..nblocks {
-        for d in 0..nbuckets {
-            counts[b * nbuckets + d] = transposed[d * nblocks + b];
-        }
-    }
 
-    // 4. Scatter into a buffer; (block, bucket) ranges are disjoint.
-    let mut buf: Vec<T> = Vec::with_capacity(n);
-    {
-        let buf_ptr = SendPtr::new(buf.as_mut_ptr());
-        data.par_chunks(block)
-            .zip(ids.par_chunks(block))
-            .enumerate()
-            .for_each(|(b, (chunk, id_chunk))| {
-                let mut offs = counts[b * nbuckets..(b + 1) * nbuckets].to_vec();
-                for (&x, &d) in chunk.iter().zip(id_chunk) {
-                    // SAFETY: offs[d] walks the disjoint range owned by
-                    // (block b, bucket d); the scan partitions 0..n.
-                    unsafe { buf_ptr.write(offs[d as usize], x) };
-                    offs[d as usize] += 1;
-                }
-            });
-    }
-    // SAFETY: the scatter wrote all n slots exactly once.
-    unsafe { buf.set_len(n) };
+    // 3. Group by bucket into a buffer. Count and scatter both read `ids`,
+    //    so they agree whatever `cmp` does.
+    let buckets = |items: Range<usize>| ids[items].iter().map(|&d| d as usize);
+    let mut pass = CountingPass::new(n, nbuckets);
+    pass.count(buckets);
+    let bounds = pass.scan();
+    let mut buf = Box::<[T]>::new_uninit_slice(n);
+    let grouped = pass.scatter(data, &mut buf, buckets);
 
-    // 5. Sort each bucket in parallel and copy back (Block-on-RngInd: the
-    //    chunk list comes from bucket_starts, monotone by construction).
-    let mut slices: Vec<&mut [T]> = Vec::with_capacity(nbuckets);
-    {
-        let mut rest: &mut [T] = &mut buf;
-        let mut prev = 0usize;
-        for d in 1..=nbuckets {
-            let end = if d == nbuckets { n } else { bucket_starts[d] };
-            let (head, tail) = rest.split_at_mut(end - prev);
-            slices.push(head);
-            rest = tail;
-            prev = end;
-        }
-    }
-    slices
-        .into_par_iter()
-        .for_each(|s| s.sort_unstable_by(&cmp));
-    data.copy_from_slice(&buf);
+    // 4. Sort each bucket and copy back.
+    sort_buckets(grouped, &bounds, &cmp);
+    data.copy_from_slice(grouped);
 }
 
 #[cfg(test)]

@@ -95,6 +95,29 @@ proptest! {
         }
     }
 
+    /// A counting pass's destinations are the ranks of a stable sort by
+    /// bucket, and its boundaries the bucket prefix sums.
+    #[test]
+    fn counting_pass_is_a_stable_sort_by_bucket(
+        keys in proptest::collection::vec(0usize..37, 0..5000),
+    ) {
+        let buckets = |items: std::ops::Range<usize>| keys[items].iter().copied();
+        let mut pass = CountingPass::new(keys.len(), 37);
+        pass.count(buckets);
+        let bounds = pass.scan();
+        let dest = pass.destinations(buckets);
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        for (rank, &i) in order.iter().enumerate() {
+            prop_assert_eq!(dest[i], rank);
+        }
+        prop_assert_eq!(bounds[0], 0);
+        for d in 0..37 {
+            let in_bucket = keys.iter().filter(|&&k| k == d).count();
+            prop_assert_eq!(bounds[d + 1] - bounds[d], in_bucket);
+        }
+    }
+
     /// flatten(chunked(v)) == v for any chunking.
     #[test]
     fn flatten_inverts_chunking(

@@ -83,10 +83,12 @@ pub fn run_par(bwt: &[u8], mode: ExecMode) -> Result<Vec<u8>, SuiteError> {
         }
         ExecMode::Sync => {
             use std::sync::atomic::{AtomicU8, Ordering};
-            // SAFETY: exclusive borrow as atomics; relaxed stores placate
+            // SAFETY: exclusive borrow as atomics, through a pointer with
+            // write permission (`as_mut_ptr`); relaxed stores placate
             // rustc (the paper's Listing 6(e)).
-            let atomic: &[AtomicU8] =
-                unsafe { std::slice::from_raw_parts(out.as_ptr() as *const AtomicU8, out.len()) };
+            let atomic: &[AtomicU8] = unsafe {
+                std::slice::from_raw_parts(out.as_mut_ptr() as *const AtomicU8, out.len())
+            };
             (1..m).into_par_iter().for_each(|k| {
                 atomic[m - 1 - k].store(bwt[order[k]], Ordering::Relaxed);
             });

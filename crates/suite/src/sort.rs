@@ -16,16 +16,29 @@
 use rayon::prelude::*;
 
 use rpb_fearless::{validate_chunk_offsets_cached, ExecMode, ParIndProvedExt};
-use rpb_parlay::random::Random;
-use rpb_parlay::scan::scan_inplace_exclusive;
-use rpb_parlay::sendptr::SendPtr;
 
 use crate::error::SuiteError;
 
-/// Parallel sort of `u64` keys in the given mode.
+/// Parallel sort of `u64` keys in the given mode: one sample sort, the
+/// mode picks its bucket phase.
 pub fn run_par(data: &mut [u64], mode: ExecMode) {
     match mode {
-        ExecMode::Checked => checked_sample_sort(data),
+        // RngInd bucket sort through the paper's checked iterator, with the
+        // boundary check hoisted into a proof token (validated once here,
+        // and reusable should the bucket phase ever iterate again).
+        ExecMode::Checked => rpb_parlay::sort::sample_sort_with(
+            data,
+            |a, b| a.cmp(b),
+            |grouped, bounds, _| {
+                let proof = match validate_chunk_offsets_cached(bounds, grouped.len()) {
+                    Ok(proof) => proof,
+                    Err(e) => panic!("sort buckets: {e}"),
+                };
+                grouped
+                    .par_ind_chunks_mut_proved(&proof)
+                    .for_each(|bucket| bucket.sort_unstable());
+            },
+        ),
         ExecMode::Unsafe | ExecMode::Sync => rpb_parlay::sample_sort(data, |a, b| a.cmp(b)),
     }
 }
@@ -34,79 +47,6 @@ pub fn run_par(data: &mut [u64], mode: ExecMode) {
 /// stand-in).
 pub fn run_seq(data: &mut [u64]) {
     data.sort_unstable();
-}
-
-/// Sample sort whose bucket phase goes through `par_ind_chunks_mut`.
-fn checked_sample_sort(data: &mut [u64]) {
-    let n = data.len();
-    if n < 1 << 14 {
-        data.sort_unstable();
-        return;
-    }
-    let nbuckets = (((n as f64).sqrt() / 8.0).ceil() as usize).clamp(2, 1024);
-    let r = Random::new(0xD1CE);
-    let mut sample: Vec<u64> = (0..nbuckets * 8)
-        .map(|i| data[(r.ith_rand(i as u64) % n as u64) as usize])
-        .collect();
-    sample.sort_unstable();
-    let pivots: Vec<u64> = (1..nbuckets).map(|i| sample[i * 8]).collect();
-    let bucket_of = |x: u64| pivots.partition_point(|&p| p <= x);
-
-    let nblocks = rayon::current_num_threads().max(1) * 4;
-    let block = n.div_ceil(nblocks).max(1);
-    let nblocks = n.div_ceil(block);
-    let ids: Vec<u32> = data.par_iter().map(|&x| bucket_of(x) as u32).collect();
-    let mut counts: Vec<usize> = ids
-        .par_chunks(block)
-        .flat_map_iter(|chunk| {
-            let mut hist = vec![0usize; nbuckets];
-            for &b in chunk {
-                hist[b as usize] += 1;
-            }
-            hist.into_iter()
-        })
-        .collect();
-    let mut transposed = vec![0usize; nblocks * nbuckets];
-    for b in 0..nblocks {
-        for d in 0..nbuckets {
-            transposed[d * nblocks + b] = counts[b * nbuckets + d];
-        }
-    }
-    scan_inplace_exclusive(&mut transposed, 0, |a, b| a + b);
-    // Bucket boundaries for the RngInd phase: monotone by construction.
-    let mut bounds: Vec<usize> = (0..nbuckets).map(|d| transposed[d * nblocks]).collect();
-    bounds.push(n);
-    for b in 0..nblocks {
-        for d in 0..nbuckets {
-            counts[b * nbuckets + d] = transposed[d * nblocks + b];
-        }
-    }
-    // Scatter into a buffer (scan-proven disjoint destinations).
-    let mut buf: Vec<u64> = vec![0; n];
-    {
-        let buf_ptr = SendPtr::new(buf.as_mut_ptr());
-        data.par_chunks(block)
-            .zip(ids.par_chunks(block))
-            .enumerate()
-            .for_each(|(b, (chunk, id_chunk))| {
-                let mut offs = counts[b * nbuckets..(b + 1) * nbuckets].to_vec();
-                for (&x, &d) in chunk.iter().zip(id_chunk) {
-                    // SAFETY: (block, bucket) ranges partition 0..n.
-                    unsafe { buf_ptr.write(offs[d as usize], x) };
-                    offs[d as usize] += 1;
-                }
-            });
-    }
-    // RngInd bucket sort through the paper's checked iterator, with the
-    // boundary check hoisted into a proof token (validated once here, and
-    // reusable should the bucket phase ever iterate again).
-    let proof = match validate_chunk_offsets_cached(&bounds, buf.len()) {
-        Ok(proof) => proof,
-        Err(e) => panic!("sort buckets: {e}"),
-    };
-    buf.par_ind_chunks_mut_proved(&proof)
-        .for_each(|bucket| bucket.sort_unstable());
-    data.copy_from_slice(&buf);
 }
 
 /// Checks sortedness and that the result is a permutation of `original`.
@@ -140,6 +80,26 @@ mod tests {
             run_par(&mut got, mode);
             assert_eq!(got, want, "{mode}");
             verify(&input, &got).expect("valid");
+        }
+    }
+
+    #[test]
+    fn checked_and_unsafe_bucket_phases_agree() {
+        // One grouping phase, two bucket phases: same output, also when
+        // every key lands in one bucket or the input is already sorted.
+        let n = 1 << 15;
+        let inputs = [
+            ("exponential", inputs::exponential(n)),
+            ("all equal", vec![7u64; n]),
+            ("sorted", (0..n as u64).collect()),
+        ];
+        for (what, input) in inputs {
+            let mut checked = input.clone();
+            run_par(&mut checked, ExecMode::Checked);
+            let mut unchecked = input.clone();
+            run_par(&mut unchecked, ExecMode::Unsafe);
+            assert_eq!(checked, unchecked, "{what}");
+            verify(&input, &checked).expect(what);
         }
     }
 

@@ -8,12 +8,13 @@
 //! phase), and finally emit the text with a `Stride` gather.
 
 use std::fmt;
+use std::ops::Range;
 
 use rayon::prelude::*;
 
 use rpb_fearless::ExecMode;
+use rpb_parlay::counting::CountingPass;
 use rpb_parlay::list_rank::{list_order, NIL};
-use rpb_parlay::scan::scan_inplace_exclusive;
 
 use crate::suffix_array::suffix_array;
 
@@ -82,54 +83,15 @@ pub fn bwt_encode(text: &[u8], mode: ExecMode) -> Vec<u8> {
 /// rotation obtained by prepending `bwt[i]`, i.e.
 /// `C[bwt[i]] + rank(bwt[i], i)`.
 ///
-/// Implemented as one blocked stable-counting pass: per-block byte
-/// histograms (`Block`), a column-major exclusive scan (sequential over
-/// 256 × blocks counters), then a per-block walk emitting each row's slot
-/// (`Stride` write to `lf`).
+/// One blocked stable counting pass ([`CountingPass`]) over the 256 byte
+/// values: a row's LF target is its destination under a stable sort by
+/// byte.
 pub fn lf_mapping(bwt: &[u8]) -> Vec<usize> {
-    let m = bwt.len();
-    if m == 0 {
-        return Vec::new();
-    }
-    let nblocks = rayon::current_num_threads().max(1) * 4;
-    let block = m.div_ceil(nblocks).max(1);
-    let nblocks = m.div_ceil(block);
-    let mut counts: Vec<usize> = bwt
-        .par_chunks(block)
-        .flat_map_iter(|chunk| {
-            let mut hist = vec![0usize; 256];
-            for &c in chunk {
-                hist[c as usize] += 1;
-            }
-            hist.into_iter()
-        })
-        .collect();
-    // Column-major scan: offset for (char c, block b) = #chars < c overall
-    // + #occurrences of c in earlier blocks.
-    let mut transposed = vec![0usize; nblocks * 256];
-    for b in 0..nblocks {
-        for c in 0..256 {
-            transposed[c * nblocks + b] = counts[b * 256 + c];
-        }
-    }
-    scan_inplace_exclusive(&mut transposed, 0, |a, b| a + b);
-    for b in 0..nblocks {
-        for c in 0..256 {
-            counts[b * 256 + c] = transposed[c * nblocks + b];
-        }
-    }
-    let mut lf = vec![0usize; m];
-    lf.par_chunks_mut(block)
-        .zip(bwt.par_chunks(block))
-        .enumerate()
-        .for_each(|(b, (lf_chunk, chunk))| {
-            let mut offs = counts[b * 256..(b + 1) * 256].to_vec();
-            for (slot, &c) in lf_chunk.iter_mut().zip(chunk) {
-                *slot = offs[c as usize];
-                offs[c as usize] += 1;
-            }
-        });
-    lf
+    let bytes = |rows: Range<usize>| bwt[rows].iter().map(|&c| c as usize);
+    let mut pass = CountingPass::new(bwt.len(), 256);
+    pass.count(bytes);
+    pass.scan();
+    pass.destinations(bytes)
 }
 
 /// Decodes a BWT string (must contain the sentinel exactly once) back to
@@ -281,6 +243,11 @@ mod tests {
             assert!(!seen[x], "LF not a permutation");
             seen[x] = true;
         }
+    }
+
+    #[test]
+    fn lf_mapping_of_nothing_is_empty() {
+        assert!(lf_mapping(&[]).is_empty());
     }
 
     #[test]

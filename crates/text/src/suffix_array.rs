@@ -114,9 +114,10 @@ fn scatter_ranks(
         ExecMode::Sync => {
             use std::sync::atomic::{AtomicU32, Ordering};
             // SAFETY: exclusive borrow reinterpreted as atomics (same
-            // layout); the paper's "placate rustc with relaxed stores".
+            // layout) through a pointer with write permission
+            // (`as_mut_ptr`); the paper's "placate rustc with relaxed stores".
             let atomic: &[AtomicU32] = unsafe {
-                std::slice::from_raw_parts(rank.as_ptr() as *const AtomicU32, rank.len())
+                std::slice::from_raw_parts(rank.as_mut_ptr() as *const AtomicU32, rank.len())
             };
             sa.par_iter()
                 .zip(new_ranks.par_iter())
