@@ -13,7 +13,7 @@ use rpb_parlay::exec::{default_backend, BackendKind};
 use rpb_suite::meta::{all_benchmarks, suite_census};
 
 use crate::record::RunRecord;
-use crate::runner::{recommended_mode, run_case, run_seq_case, FIG5A_PAIRS, FIG5B_PAIRS};
+use crate::runner::{recommended_mode, run_case_on, run_seq_case, FIG5A_PAIRS, FIG5B_PAIRS};
 use crate::workloads::Workloads;
 use crate::{fig6, gmean, time_best, TimingStats, ALL_PAIRS};
 
@@ -70,8 +70,9 @@ fn timed_par_tagged(
     if sample_ranks {
         rpb_multiqueue::enable_online_sampler(16);
     }
-    let ts = in_pool_on(default_backend(), threads, || {
-        run_case(name, w, mode, threads, reps)
+    let backend = default_backend();
+    let ts = in_pool_on(backend, threads, || {
+        run_case_on(backend, name, w, mode, threads, reps)
     });
     #[cfg(feature = "obs")]
     if sample_ranks {
@@ -202,8 +203,8 @@ pub fn table3() -> String {
     let _ = writeln!(out, "Table 3: Studied patterns and their safety levels");
     let _ = writeln!(
         out,
-        "{:<7} {:<28} {:<32} {}",
-        "Abbr.", "Write pattern", "Parallel expression", "Fearlessness"
+        "{:<7} {:<28} {:<32} Fearlessness",
+        "Abbr.", "Write pattern", "Parallel expression"
     );
     for p in rpb_fearless::taxonomy::ALL_PATTERNS {
         let _ = writeln!(
@@ -345,7 +346,7 @@ pub fn fig5a(w: &Workloads, threads: usize, reps: usize, recs: &mut Vec<RunRecor
             reps,
             Some("fresh"),
         );
-        // Amortized: the pooled fast path; run_case's warmup execution
+        // Amortized: the pooled fast path; run_case_on's warmup execution
         // warms the pool, so the measured reps are all pool hits.
         pool::set_enabled(true);
         let t_a = timed_par_tagged(

@@ -39,7 +39,7 @@ pub mod workloads;
 
 pub use record::{EnvInfo, RunRecord};
 pub use rpb_suite::Scale;
-pub use runner::{run_case, ALL_PAIRS};
+pub use runner::ALL_PAIRS;
 pub use workloads::Workloads;
 
 use std::time::{Duration, Instant};

@@ -2,7 +2,7 @@
 //! their sequential baselines.
 
 use rpb_fearless::ExecMode;
-use rpb_parlay::exec::{default_backend, BackendKind};
+use rpb_parlay::exec::BackendKind;
 use rpb_suite::{bfs, bw, dedup, dr, hist, isort, lrs, mis, mm, msf, sa, sf, sort, sssp};
 
 use crate::workloads::Workloads;
@@ -43,20 +43,8 @@ pub const FIG5B_PAIRS: [&str; 12] = [
 
 /// Executes one parallel benchmark run inside the current Rayon pool
 /// (MultiQueue benchmarks take `threads` directly). Returns best/mean
-/// timing over `reps` measured repetitions. Runs on the process-default
-/// backend; see [`run_case_on`].
-pub fn run_case(
-    name: &str,
-    w: &Workloads,
-    mode: ExecMode,
-    threads: usize,
-    reps: usize,
-) -> TimingStats {
-    run_case_on(default_backend(), name, w, mode, threads, reps)
-}
-
-/// [`run_case`] with an explicit scheduling backend. Only the MultiQueue
-/// pairs (`bfs-*`/`sssp-*`) are sensitive to it — everything else runs
+/// timing over `reps` measured repetitions. Only the MultiQueue pairs
+/// (`bfs-*`/`sssp-*`) are sensitive to `backend` — everything else runs
 /// on the ambient Rayon pool the harness installed around this call.
 pub fn run_case_on(
     backend: BackendKind,
@@ -240,6 +228,7 @@ pub fn recommended_mode(name: &str) -> ExecMode {
 mod tests {
     use super::*;
     use crate::Scale;
+    use rpb_parlay::exec::default_backend;
 
     #[test]
     fn every_pair_runs_at_tiny_scale() {
@@ -252,7 +241,7 @@ mod tests {
         };
         let w = Workloads::build(tiny);
         for name in ALL_PAIRS {
-            let ts = run_case(name, &w, recommended_mode(name), 2, 1);
+            let ts = run_case_on(default_backend(), name, &w, recommended_mode(name), 2, 1);
             assert!(ts.best > Duration::ZERO, "{name}");
             let ts = run_seq_case(name, &w, 1);
             assert!(ts.best > Duration::ZERO, "{name} seq");

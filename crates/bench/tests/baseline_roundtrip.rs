@@ -4,146 +4,132 @@
 //!
 //! Pure data-model test — no workloads, no telemetry feature needed.
 
-// Proptest drives hundreds of cases and persists failures to disk — too
-// slow for the interpreter; the deterministic unit tests in `gate` cover
-// the same code paths under Miri.
+// Hundreds of cases are too slow for the interpreter; the deterministic
+// unit tests in `gate` cover the same code paths under Miri.
 #![cfg(not(miri))]
 
-use proptest::prelude::*;
 use rpb_bench::gate::{compare, Baseline, GateCase, WallStats, DEFAULT_WALL_TOLERANCE};
 use rpb_bench::record::EnvInfo;
 use rpb_bench::Scale;
 use rpb_obs::Json;
+use rpb_parlay::prop::{check, Gen};
 
 /// Exactly representable in the JSON writer's f64 numbers.
 const MAX_EXACT: u64 = 1 << 53;
 
 /// Counter names drawn from the real hard-metric set plus a foreign one,
 /// so parsing never depends on the gate's own vocabulary.
-fn counter_name() -> impl Strategy<Value = String> {
-    prop_oneof![
-        Just("sngind_pool_hits".to_string()),
-        Just("sngind_offsets_validated".to_string()),
-        Just("mq_pushes".to_string()),
-        Just("exec_tasks".to_string()),
-        Just("some_future_counter".to_string()),
-    ]
+const COUNTER_NAMES: [&str; 5] = [
+    "sngind_pool_hits",
+    "sngind_offsets_validated",
+    "mq_pushes",
+    "exec_tasks",
+    "some_future_counter",
+];
+
+/// `len` characters of `alphabet`.
+fn string_of(g: &mut Gen, alphabet: &[char], len: std::ops::Range<usize>) -> String {
+    g.vec(len, |g| g.pick(alphabet)).into_iter().collect()
 }
 
 /// Strings with escape-worthy content: the schema must survive quotes,
 /// backslashes, newlines, and non-ASCII in provenance fields.
-fn provenance_string() -> impl Strategy<Value = String> {
-    proptest::string::string_regex("[ -~\u{e9}\u{4e16}\"\\\\\n\t]{0,24}").unwrap()
+fn provenance_string(g: &mut Gen) -> String {
+    let mut alphabet: Vec<char> = (' '..='~').collect();
+    alphabet.extend(['\u{e9}', '\u{4e16}', '"', '\\', '\n', '\t']);
+    string_of(g, &alphabet, 0..25)
 }
 
-fn wall_stats() -> impl Strategy<Value = WallStats> {
-    (0..MAX_EXACT, 0..MAX_EXACT, 0..MAX_EXACT, 1..1000u64).prop_map(
-        |(best_ns, median_ns, mad_ns, reps)| WallStats {
-            best_ns,
-            median_ns,
-            mad_ns,
-            reps,
-        },
-    )
+fn wall_stats(g: &mut Gen) -> WallStats {
+    WallStats {
+        best_ns: g.in_range(0..MAX_EXACT),
+        median_ns: g.in_range(0..MAX_EXACT),
+        mad_ns: g.in_range(0..MAX_EXACT),
+        reps: g.in_range(1..1000),
+    }
 }
 
-fn gate_case() -> impl Strategy<Value = GateCase> {
-    (
-        "[a-z]{1,8}(-[a-z]{1,4})?",
-        prop_oneof![
-            Just("unsafe".to_string()),
-            Just("checked".to_string()),
-            Just("sync".to_string())
-        ],
-        proptest::option::of(prop_oneof![
-            Just("fresh".to_string()),
-            Just("amortized".to_string())
-        ]),
-        proptest::collection::vec((counter_name(), 0..MAX_EXACT), 0..6),
-        wall_stats(),
-    )
-        .prop_map(|(name, mode, check, counters, wall)| GateCase {
-            name,
-            mode,
-            check,
-            counters,
-            wall,
-        })
+/// A cell named `[a-z]{1,8}(-[a-z]{1,4})?`.
+fn gate_case(g: &mut Gen) -> GateCase {
+    let lower: Vec<char> = ('a'..='z').collect();
+    let mut name = string_of(g, &lower, 1..9);
+    if g.pick(&[false, true]) {
+        name = format!("{name}-{}", string_of(g, &lower, 1..5));
+    }
+    GateCase {
+        name,
+        mode: g.pick(&["unsafe", "checked", "sync"]).to_string(),
+        check: g
+            .pick(&[None, Some("fresh"), Some("amortized")])
+            .map(str::to_string),
+        counters: g.vec(0..6, |g| {
+            (g.pick(&COUNTER_NAMES).to_string(), g.in_range(0..MAX_EXACT))
+        }),
+        wall: wall_stats(g),
+    }
 }
 
-fn baseline() -> impl Strategy<Value = Baseline> {
-    (
-        (
-            1..100_000usize,
-            1..100_000usize,
-            1..10_000usize,
-            1..10_000usize,
-        ),
-        1..8usize,
-        1..64usize,
-        1..100usize,
-        (provenance_string(), 0..1024usize, provenance_string()),
-        proptest::collection::vec(gate_case(), 0..8),
-    )
-        .prop_map(
-            |(
-                (text_len, seq_len, graph_n, points_n),
-                counter_threads,
-                wall_threads,
-                wall_reps,
-                (git_sha, cpu_count, rustc),
-                cases,
-            )| {
-                // One cell per (name, mode, check) key: `compare` matches
-                // cases by key, so duplicate keys are not a valid matrix.
-                let mut seen = std::collections::HashSet::new();
-                let cases: Vec<GateCase> =
-                    cases.into_iter().filter(|c| seen.insert(c.key())).collect();
-                Baseline {
-                    scale: Scale {
-                        text_len,
-                        seq_len,
-                        graph_n,
-                        points_n,
-                    },
-                    counter_threads,
-                    wall_threads,
-                    wall_reps,
-                    env: EnvInfo {
-                        git_sha,
-                        cpu_count,
-                        rustc,
-                    },
-                    cases,
-                }
-            },
-        )
+fn baseline(g: &mut Gen) -> Baseline {
+    let scale = Scale {
+        text_len: g.in_range(1..100_000) as usize,
+        seq_len: g.in_range(1..100_000) as usize,
+        graph_n: g.in_range(1..10_000) as usize,
+        points_n: g.in_range(1..10_000) as usize,
+    };
+    let counter_threads = g.in_range(1..8) as usize;
+    let wall_threads = g.in_range(1..64) as usize;
+    let wall_reps = g.in_range(1..100) as usize;
+    let env = EnvInfo {
+        git_sha: provenance_string(g),
+        cpu_count: g.in_range(0..1024) as usize,
+        rustc: provenance_string(g),
+    };
+    // One cell per (name, mode, check) key: `compare` matches
+    // cases by key, so duplicate keys are not a valid matrix.
+    let mut seen = std::collections::HashSet::new();
+    let cases = g
+        .vec(0..8, gate_case)
+        .into_iter()
+        .filter(|c| seen.insert(c.key()))
+        .collect();
+    Baseline {
+        scale,
+        counter_threads,
+        wall_threads,
+        wall_reps,
+        env,
+        cases,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+const CASES: usize = 128;
 
-    /// serialize -> parse -> semantic equality, through the actual text
-    /// representation a committed `baselines/*.json` file uses.
-    #[test]
-    fn baseline_round_trips_semantically(b in baseline()) {
+/// serialize -> parse -> semantic equality, through the actual text
+/// representation a committed `baselines/*.json` file uses.
+#[test]
+fn baseline_round_trips_semantically() {
+    check("baseline_round_trips_semantically", CASES, |g| {
+        let b = baseline(g);
         let text = format!("{}\n", b.to_json());
         let doc = Json::parse(&text).expect("baseline text parses");
         let parsed = Baseline::parse(&doc).expect("baseline document parses");
-        prop_assert!(b.semantic_eq(&parsed), "round trip changed the baseline");
+        assert!(b.semantic_eq(&parsed), "round trip changed the baseline");
         // Provenance is carried verbatim even though it never gates.
-        prop_assert_eq!(&parsed.env.git_sha, &b.env.git_sha);
-        prop_assert_eq!(parsed.env.cpu_count, b.env.cpu_count);
-        prop_assert_eq!(&parsed.env.rustc, &b.env.rustc);
-    }
+        assert_eq!(&parsed.env.git_sha, &b.env.git_sha);
+        assert_eq!(parsed.env.cpu_count, b.env.cpu_count);
+        assert_eq!(&parsed.env.rustc, &b.env.rustc);
+    });
+}
 
-    /// A round-tripped baseline gates identically to the original: the
-    /// comparison of a parsed copy against its source is always clean.
-    #[test]
-    fn round_tripped_baseline_compares_clean(b in baseline()) {
+/// A round-tripped baseline gates identically to the original: the
+/// comparison of a parsed copy against its source is always clean.
+#[test]
+fn round_tripped_baseline_compares_clean() {
+    check("round_tripped_baseline_compares_clean", CASES, |g| {
+        let b = baseline(g);
         let doc = Json::parse(&b.to_json().to_string()).expect("parses");
         let parsed = Baseline::parse(&doc).expect("valid");
         let cmp = compare(&b, &parsed, DEFAULT_WALL_TOLERANCE);
-        prop_assert!(cmp.violations.is_empty(), "{:?}", cmp.violations);
-    }
+        assert!(cmp.violations.is_empty(), "{:?}", cmp.violations);
+    });
 }

@@ -40,7 +40,7 @@ mod with_obs {
         let mut nonzero_cells = 0usize;
         for (ca, cb) in a.cases.iter().zip(&b.cases) {
             assert_eq!(ca.key(), cb.key(), "matrix order is part of the contract");
-            // The acceptance criterion verbatim: the counter *sections* of
+            // The acceptance test verbatim: the counter *sections* of
             // the two baselines are byte-identical.
             assert_eq!(
                 ca.counters_json().to_string(),
@@ -128,6 +128,18 @@ mod with_obs {
                     }
                 }
             }
+        }
+        // One skeleton per pass (the BFS keeps its own resident across
+        // levels), and every item that entered it left it.
+        for cell in b.cases.iter().filter(|c| c.name.starts_with("pipeline-")) {
+            let key = cell.key();
+            assert_eq!(cell.counter("pipeline_runs"), 1, "{key}");
+            assert_eq!(
+                cell.counter("pipeline_items_in"),
+                cell.counter("pipeline_items_out"),
+                "{key}"
+            );
+            assert_eq!(cell.counter("pipeline_stage_panics"), 0, "{key}");
         }
         for (key, counter) in [
             ("kernel-sngind-validate/scalar", "sngind_offsets_validated"),

@@ -131,6 +131,8 @@ mod tests {
     fn write_better_with_custom_order() {
         // Prefer even values, then smaller.
         let better = |new: u64, cur: u64| {
+            // `is_multiple_of` is Rust 1.87; README's MSRV is 1.85.
+            #[allow(clippy::manual_is_multiple_of)]
             let (ne, ce) = (new % 2 == 0, cur % 2 == 0);
             match (ne, ce) {
                 (true, false) => true,

@@ -209,7 +209,7 @@ mod tests {
     fn greedy_two_cell_sequential(n_iters: usize, cells: usize) -> Vec<bool> {
         let mut claimed = vec![false; cells];
         let mut won = vec![false; n_iters];
-        for i in 0..n_iters {
+        for (i, won) in won.iter_mut().enumerate() {
             let h = rpb_parlay::random::hash64(i as u64);
             let (a, b) = (
                 (h % cells as u64) as usize,
@@ -218,7 +218,7 @@ mod tests {
             if !claimed[a] && !claimed[b] {
                 claimed[a] = true;
                 claimed[b] = true;
-                won[i] = true;
+                *won = true;
             }
         }
         won

@@ -152,7 +152,7 @@ mod tests {
         });
         // Sequential reference.
         let mut parent: Vec<usize> = (0..n).collect();
-        fn find(p: &mut Vec<usize>, mut x: usize) -> usize {
+        fn find(p: &mut [usize], mut x: usize) -> usize {
             while p[x] != x {
                 p[x] = p[p[x]];
                 x = p[x];

@@ -1,38 +1,42 @@
 //! Property-based tests for the concurrent substrate.
 
-// Too slow for Miri (hundreds of cases through rayon, plus proptest's
-// failure-persistence file I/O); the library's cfg(miri)-sized unit tests
-// cover the same structures under the interpreter.
+// Too slow for Miri (hundreds of cases through rayon); the library's
+// cfg(miri)-sized unit tests cover the same structures under the
+// interpreter.
 #![cfg(not(miri))]
 
-use proptest::prelude::*;
 use rayon::prelude::*;
 use rpb_concurrent::*;
+use rpb_parlay::prop::check;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+const CASES: usize = 48;
 
-    /// The hash set equals a HashSet model after arbitrary parallel
-    /// inserts.
-    #[test]
-    fn hashset_model(keys in proptest::collection::vec(0u64..10_000, 1..3000)) {
+/// The hash set equals a HashSet model after arbitrary parallel
+/// inserts.
+#[test]
+fn hashset_model() {
+    check("hashset_model", CASES, |g| {
+        let keys = g.vec(1..3000, |g| g.in_range(0..10_000));
         let set = ConcurrentHashSet::with_capacity(keys.len());
         keys.par_iter().for_each(|&k| {
             set.insert(k);
         });
         let want: std::collections::HashSet<u64> = keys.iter().copied().collect();
         let got: std::collections::HashSet<u64> = set.elements().into_iter().collect();
-        prop_assert_eq!(got, want);
+        assert_eq!(got, want);
         for &k in &keys {
-            prop_assert!(set.contains(k));
+            assert!(set.contains(k));
         }
-    }
+    });
+}
 
-    /// write_min over any parallel schedule lands on the true minimum,
-    /// and the number of "improved" returns is bounded by... at least 1.
-    #[test]
-    fn write_min_is_min(values in proptest::collection::vec(any::<u64>(), 1..3000)) {
+/// write_min over any parallel schedule lands on the true minimum,
+/// and the number of "improved" returns is bounded by... at least 1.
+#[test]
+fn write_min_is_min() {
+    check("write_min_is_min", CASES, |g| {
+        let values = g.vec(1..3000, |g| g.u64());
         let cell = AtomicU64::new(u64::MAX);
         let improvements = AtomicUsize::new(0);
         values.par_iter().for_each(|&v| {
@@ -40,21 +44,21 @@ proptest! {
                 improvements.fetch_add(1, Ordering::Relaxed);
             }
         });
-        prop_assert_eq!(cell.load(Ordering::Relaxed), *values.iter().min().unwrap());
-        prop_assert!(improvements.load(Ordering::Relaxed) >= 1);
-    }
+        assert_eq!(cell.load(Ordering::Relaxed), *values.iter().min().unwrap());
+        assert!(improvements.load(Ordering::Relaxed) >= 1);
+    });
+}
 
-    /// Union-find connectivity equals a sequential DSU for arbitrary
-    /// parallel union schedules.
-    #[test]
-    fn unionfind_model(
-        n in 1usize..300,
-        edges in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..600),
-    ) {
-        let edges: Vec<(usize, usize)> = edges
-            .into_iter()
-            .map(|(u, v)| ((u as usize) % n, (v as usize) % n))
-            .collect();
+/// Union-find connectivity equals a sequential DSU for arbitrary
+/// parallel union schedules.
+#[test]
+fn unionfind_model() {
+    check("unionfind_model", CASES, |g| {
+        let n = g.size(1..300);
+        let edges: Vec<(usize, usize)> = g.vec(0..600, |g| {
+            let (u, v) = (g.u64() as u32, g.u64() as u32);
+            ((u as usize) % n, (v as usize) % n)
+        });
         let uf = ConcurrentUnionFind::new(n);
         edges.par_iter().for_each(|&(u, v)| {
             uf.unite(u, v);
@@ -82,13 +86,16 @@ proptest! {
             }
             c
         };
-        prop_assert_eq!(uf.count_sets(), seq_sets);
-    }
+        assert_eq!(uf.count_sets(), seq_sets);
+    });
+}
 
-    /// speculative_for with per-iteration unique cells completes every
-    /// iteration in one attempt regardless of granularity.
-    #[test]
-    fn speculative_for_no_conflicts(n in 1usize..2000, gran in 1usize..512) {
+/// speculative_for with per-iteration unique cells completes every
+/// iteration in one attempt regardless of granularity.
+#[test]
+fn speculative_for_no_conflicts() {
+    check("speculative_for_no_conflicts", CASES, |g| {
+        let (n, gran) = (g.size(1..2000), g.in_range(1..512) as usize);
         let station = ReservationStation::new(n);
         let done: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let status = speculative_for(
@@ -104,17 +111,20 @@ proptest! {
                 true
             },
         );
-        prop_assert_eq!(status.retries, 0);
+        assert_eq!(status.retries, 0);
         for d in &done {
-            prop_assert_eq!(d.load(Ordering::Relaxed), 1);
+            assert_eq!(d.load(Ordering::Relaxed), 1);
         }
-    }
+    });
+}
 
-    /// All-contending speculative iterations serialize in priority order:
-    /// with one shared cell, the winner sequence is 0, 1, 2, … and every
-    /// iteration eventually commits exactly once.
-    #[test]
-    fn speculative_for_total_conflict(n in 1usize..200, gran in 1usize..64) {
+/// All-contending speculative iterations serialize in priority order:
+/// with one shared cell, the winner sequence is 0, 1, 2, … and every
+/// iteration eventually commits exactly once.
+#[test]
+fn speculative_for_total_conflict() {
+    check("speculative_for_total_conflict", CASES, |g| {
+        let (n, gran) = (g.size(1..200), g.in_range(1..64) as usize);
         let station = ReservationStation::new(1);
         let commits = AtomicUsize::new(0);
         speculative_for(
@@ -134,6 +144,6 @@ proptest! {
                 }
             },
         );
-        prop_assert_eq!(commits.load(Ordering::Relaxed), n);
-    }
+        assert_eq!(commits.load(Ordering::Relaxed), n);
+    });
 }

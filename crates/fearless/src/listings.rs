@@ -39,13 +39,16 @@
 //!
 //! # Listing 3(c): read-only reduction is fearless
 //!
+//! The listing's reduction (`.sum()`) spelled portably, as the `reduce` it
+//! abbreviates:
+//!
 //! ```
 //! use rayon::prelude::*;
 //! let vector = vec![2u64; 1000];
 //! let result: u64 = vector
 //!     .par_chunks(128)
 //!     .map(|chunk| chunk.iter().sum::<u64>())
-//!     .sum();
+//!     .reduce(|| 0, |a, b| a + b);
 //! assert_eq!(result, 2000);
 //! ```
 //!

@@ -320,7 +320,7 @@ mod tests {
         let offsets = vec![0usize, 1, 2];
         let proof =
             validate_offsets_cached(&offsets, 3, UniquenessCheck::MarkTable).expect("valid");
-        let mut out = vec![0u8; 2];
+        let mut out = [0u8; 2];
         out.par_ind_iter_mut_proved(&proof).for_each(|o| *o = 1);
     }
 
@@ -349,7 +349,7 @@ mod tests {
                         // so the unchecked scatter is never reached.
         let proof = unsafe { ValidatedOffsets::from_parts_for_tests(&offsets, 16, pristine) };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut out = vec![0u8; 16];
+            let mut out = [0u8; 16];
             // Construction alone must panic; the iterator is never consumed.
             let _unreached = out.par_ind_iter_mut_proved(&proof);
         }));

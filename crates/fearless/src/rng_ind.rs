@@ -465,7 +465,7 @@ mod tests {
 
     #[test]
     fn non_monotone_is_rejected() {
-        let mut v = vec![0u8; 10];
+        let mut v = [0u8; 10];
         let offsets = vec![0, 5, 4, 10];
         let err = v.try_par_ind_chunks_mut(&offsets).err();
         assert_eq!(err, Some(IndChunksError::NotMonotone { index: 2 }));
@@ -473,7 +473,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_is_rejected() {
-        let mut v = vec![0u8; 10];
+        let mut v = [0u8; 10];
         let offsets = vec![0, 11];
         let err = v.try_par_ind_chunks_mut(&offsets).err();
         assert_eq!(
@@ -488,7 +488,7 @@ mod tests {
 
     #[test]
     fn multi_fault_boundaries_prefer_out_of_bounds() {
-        let mut v = vec![0u8; 10];
+        let mut v = [0u8; 10];
         // offsets[1] exceeds the slice AND offsets[2] decreases: the
         // reported variant must deterministically be OutOfBounds.
         let offsets = vec![0, 11, 4, 10];
@@ -508,14 +508,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "monotone")]
     fn checked_panics_on_decreasing() {
-        let mut v = vec![0u8; 4];
+        let mut v = [0u8; 4];
         let offsets = vec![3, 1];
         v.par_ind_chunks_mut(&offsets).for_each(|c| c.fill(1));
     }
 
     #[test]
     fn empty_offsets_yield_no_chunks() {
-        let mut v = vec![1u8; 4];
+        let mut v = [1u8; 4];
         let offsets: Vec<usize> = vec![];
         assert_eq!(v.par_ind_chunks_mut(&offsets).count(), 0);
         let offsets = vec![2];
@@ -524,7 +524,7 @@ mod tests {
 
     #[test]
     fn zero_length_chunks_are_fine() {
-        let mut v = vec![0u8; 4];
+        let mut v = [0u8; 4];
         let offsets = vec![1, 1, 1, 3];
         let lens: Vec<usize> = v.par_ind_chunks_mut(&offsets).map(|c| c.len()).collect();
         assert_eq!(lens, vec![0, 0, 2]);
@@ -565,7 +565,7 @@ mod tests {
 
     #[test]
     fn zst_chunks_fill() {
-        let mut v = vec![(); 10];
+        let mut v = [(); 10];
         let offsets = vec![0, 4, 4, 10];
         let lens: Vec<usize> = v.par_ind_chunks_mut(&offsets).map(|c| c.len()).collect();
         assert_eq!(lens, vec![4, 0, 6]);
@@ -590,9 +590,12 @@ mod tests {
 
     #[test]
     fn rev_works() {
+        // What an indexed `rev()` leans on: `ChunkIter` is double-ended.
         let mut v = vec![0u8; 6];
         let offsets = vec![0, 2, 4, 6];
-        v.par_ind_chunks_mut(&offsets)
+        let ParIndChunksMut { data, offsets } = v.par_ind_chunks_mut(&offsets);
+        (ChunkProducer { data, offsets })
+            .into_iter()
             .rev()
             .enumerate()
             .for_each(|(k, chunk)| chunk.fill(k as u8 + 1));

@@ -151,7 +151,7 @@ mod tests {
     fn slice_mut_carves_disjoint_windows() {
         let mut v = vec![0u8; 100];
         let view = SharedMutSlice::new(&mut v);
-        [0usize, 1, 2, 3].into_par_iter().for_each(|b| {
+        (0..4usize).into_par_iter().for_each(|b| {
             // SAFETY: 25-element windows are disjoint.
             let w = unsafe { view.slice_mut(b * 25, (b + 1) * 25) };
             w.fill(b as u8 + 1);

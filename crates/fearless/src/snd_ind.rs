@@ -753,7 +753,7 @@ mod tests {
 
     #[test]
     fn duplicate_offsets_error_mark() {
-        let mut out = vec![0u8; 10];
+        let mut out = [0u8; 10];
         let offsets = vec![1, 2, 3, 2];
         let err = out
             .try_par_ind_iter_mut(&offsets, UniquenessCheck::MarkTable)
@@ -766,7 +766,7 @@ mod tests {
 
     #[test]
     fn duplicate_offsets_error_sort() {
-        let mut out = vec![0u8; 10];
+        let mut out = [0u8; 10];
         let offsets = vec![5, 9, 5];
         let err = out
             .try_par_ind_iter_mut(&offsets, UniquenessCheck::Sort)
@@ -779,7 +779,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_error() {
-        let mut out = vec![0u8; 4];
+        let mut out = [0u8; 4];
         let offsets = vec![0, 4];
         let err = out
             .try_par_ind_iter_mut(&offsets, UniquenessCheck::MarkTable)
@@ -797,7 +797,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicates an earlier offset")]
     fn checked_panics_on_duplicates() {
-        let mut out = vec![0u8; 8];
+        let mut out = [0u8; 8];
         let offsets = vec![3, 3];
         out.par_ind_iter_mut(&offsets).for_each(|o| *o = 1);
     }
@@ -850,7 +850,7 @@ mod tests {
 
     #[test]
     fn duplicate_offsets_error_bitset() {
-        let mut out = vec![0u8; 10];
+        let mut out = [0u8; 10];
         let offsets = vec![7, 0, 7];
         let err = out
             .try_par_ind_iter_mut(&offsets, UniquenessCheck::Bitset)
@@ -863,7 +863,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_error_bitset() {
-        let mut out = vec![0u8; 4];
+        let mut out = [0u8; 4];
         let offsets = vec![0, 9];
         let err = out
             .try_par_ind_iter_mut(&offsets, UniquenessCheck::Bitset)
@@ -937,7 +937,7 @@ mod tests {
             );
         }
         // len = 1 with a duplicate offset must still be rejected.
-        let mut out = vec![0u8; 1];
+        let mut out = [0u8; 1];
         let dup = [0usize, 0];
         let err = out.try_par_ind_iter_mut(&dup, UniquenessCheck::Sort).err();
         assert!(matches!(
@@ -945,7 +945,7 @@ mod tests {
             Some(IndOffsetsError::Duplicate { offset: 0, .. })
         ));
         // len = 2, out-of-bounds offset.
-        let mut out = vec![0u8; 2];
+        let mut out = [0u8; 2];
         let oob = [0usize, 2];
         let err = out.try_par_ind_iter_mut(&oob, UniquenessCheck::Sort).err();
         assert!(matches!(
@@ -991,7 +991,9 @@ mod tests {
         // rev() requires DoubleEndedIterator on the producer's iterator.
         let mut out = vec![0usize; 6];
         let offsets = vec![5, 3, 1];
-        out.par_ind_iter_mut(&offsets)
+        let ParIndIterMut { data, offsets } = out.par_ind_iter_mut(&offsets);
+        (IndProducer { data, offsets })
+            .into_iter()
             .rev()
             .enumerate()
             .for_each(|(k, slot)| *slot = k + 1);
@@ -1039,7 +1041,7 @@ mod tests {
     fn zst_scatter_every_strategy() {
         // Zero-sized elements: `&mut` disjointness is trivial, but the
         // offset validation must behave identically to sized types.
-        let mut out = vec![(); 16];
+        let mut out = [(); 16];
         let offsets = random_permutation(16, 11);
         let touched = std::sync::atomic::AtomicUsize::new(0);
         for strat in ALL_STRATEGIES {
@@ -1060,7 +1062,7 @@ mod tests {
 
     #[test]
     fn zst_duplicate_and_oob_rejected_every_strategy() {
-        let mut out = vec![(); 8];
+        let mut out = [(); 8];
         for strat in ALL_STRATEGIES {
             let err = out.try_par_ind_iter_mut(&[2, 5, 2], strat).err();
             assert!(

@@ -30,7 +30,7 @@ fn steady_state_validation_is_allocation_free() {
     pool::set_enabled(true);
 
     // Cold pool: the first validation allocates — exactly once. Every
-    // further one is a pool hit. This is the acceptance criterion — zero
+    // further one is a pool hit. This is the acceptance test — zero
     // heap allocation per check in steady state.
     for strategy in marking {
         pool::clear();

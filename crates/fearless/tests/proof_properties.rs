@@ -1,16 +1,15 @@
 //! Property-based tests for the pooled uniqueness check and the
 //! validation-proof tokens.
 
-// Proptest drives hundreds of cases through rayon and touches the
-// filesystem for failure persistence — far too slow for the interpreter.
+// Hundreds of cases through rayon are far too slow for the interpreter.
 // The Miri profile covers these paths with the deterministic small-N
 // tests in the library and `miri_smoke.rs` instead.
 #![cfg(not(miri))]
 
-use proptest::prelude::*;
 use rpb_fearless::proof::{self, validate_offsets_cached, ValidatedOffsets};
 use rpb_fearless::snd_ind::{validate_offsets, IndOffsetsError, UniquenessCheck};
 use rpb_fearless::ParIndProvedExt;
+use rpb_parlay::prop::check;
 
 use rayon::prelude::*;
 
@@ -43,73 +42,72 @@ fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
 
 const POOL_SIZES: [usize; 3] = [1, 2, 4];
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const CASES: usize = 64;
 
-    /// Every strategy agrees with the sequential oracle on accept/reject,
-    /// whatever the pool it runs in. (The *which* of several coexisting
-    /// errors is reported is strategy- and schedule-dependent; the verdict
-    /// must not be.)
-    #[test]
-    fn all_strategies_agree_with_oracle(
-        offsets in proptest::collection::vec(0usize..96, 0..96),
-        len in 0usize..96,
-    ) {
-        let want = oracle_accepts(&offsets, len);
-        for threads in POOL_SIZES {
-            for strat in ALL_STRATEGIES {
-                let got = in_pool(threads, || validate_offsets(&offsets, len, strat));
-                prop_assert_eq!(
-                    got.is_ok(),
-                    want,
-                    "strategy {:?} on {} threads disagrees with oracle: {:?}",
-                    strat,
-                    threads,
-                    got
-                );
-            }
+/// Every strategy, in every pool size, gives the oracle's verdict.
+fn assert_all_agree(offsets: &[usize], len: usize) {
+    let want = oracle_accepts(offsets, len);
+    for threads in POOL_SIZES {
+        for strat in ALL_STRATEGIES {
+            let got = in_pool(threads, || validate_offsets(offsets, len, strat));
+            assert_eq!(
+                got.is_ok(),
+                want,
+                "strategy {strat:?} on {threads} threads disagrees with oracle: {got:?}"
+            );
         }
     }
+}
 
-    /// The same on inputs long enough for `MarkTable` to cut them into
-    /// several blocks: a permutation with up to two planted faults, each a
-    /// repeat of another entry or an out-of-bounds value.
-    #[test]
-    fn all_strategies_agree_with_oracle_across_blocks(
-        n in 2usize..20_000,
-        seed in any::<u64>(),
-        faults in proptest::collection::vec((any::<usize>(), any::<usize>(), any::<bool>()), 0..3),
-    ) {
-        let mut offsets = rpb_parlay::seqdata::random_permutation(n, seed);
-        for (at, from, out_of_bounds) in faults {
-            offsets[at % n] = if out_of_bounds { n + from % 7 } else { offsets[from % n] };
-        }
-        let want = oracle_accepts(&offsets, n);
-        for threads in POOL_SIZES {
-            for strat in ALL_STRATEGIES {
-                let got = in_pool(threads, || validate_offsets(&offsets, n, strat));
-                prop_assert_eq!(
-                    got.is_ok(),
-                    want,
-                    "strategy {:?} on {} threads disagrees with oracle: {:?}",
-                    strat,
-                    threads,
-                    got
-                );
+/// Every strategy agrees with the sequential oracle on accept/reject,
+/// whatever the pool it runs in. (The *which* of several coexisting
+/// errors is reported is strategy- and schedule-dependent; the verdict
+/// must not be.)
+#[test]
+fn all_strategies_agree_with_oracle() {
+    check("all_strategies_agree_with_oracle", CASES, |g| {
+        let offsets = g.vec(0..96, |g| g.in_range(0..96) as usize);
+        let len = g.in_range(0..96) as usize;
+        assert_all_agree(&offsets, len);
+    });
+}
+
+/// The same on inputs long enough for `MarkTable` to cut them into
+/// several blocks: a permutation with up to two planted faults, each a
+/// repeat of another entry or an out-of-bounds value.
+#[test]
+fn all_strategies_agree_with_oracle_across_blocks() {
+    check(
+        "all_strategies_agree_with_oracle_across_blocks",
+        CASES,
+        |g| {
+            let (n, seed) = (g.size(2..20_000), g.u64());
+            let mut offsets = rpb_parlay::seqdata::random_permutation(n, seed);
+            for _ in 0..g.in_range(0..3) {
+                let (at, from) = (g.u64() as usize, g.u64() as usize);
+                let out_of_bounds = g.pick(&[false, true]);
+                offsets[at % n] = if out_of_bounds {
+                    n + from % 7
+                } else {
+                    offsets[from % n]
+                };
             }
-        }
-    }
+            assert_all_agree(&offsets, n);
+        },
+    );
+}
 
-    /// Buffer reuse is sound: after any number of validations sharing
-    /// pooled bitmaps, a clean array still passes (marks left by an earlier
-    /// holder never fake a duplicate) and a duplicated array is still
-    /// rejected — in one block or several.
-    #[test]
-    fn pooled_reuse_never_flips_a_verdict(
-        n in prop_oneof![2usize..300, 8_000usize..20_000],
-        dup_at in 0usize..20_000,
-        rounds in 1usize..4,
-    ) {
+/// Buffer reuse is sound: after any number of validations sharing
+/// pooled bitmaps, a clean array still passes (marks left by an earlier
+/// holder never fake a duplicate) and a duplicated array is still
+/// rejected — in one block or several.
+#[test]
+fn pooled_reuse_never_flips_a_verdict() {
+    check("pooled_reuse_never_flips_a_verdict", CASES, |g| {
+        let n = g.pick(&[2..300, 8_000..20_000]);
+        let n = g.size(n);
+        let dup_at = g.in_range(0..20_000) as usize;
+        let rounds = g.in_range(1..4);
         let clean: Vec<usize> = (0..n).collect();
         let mut dup = clean.clone();
         dup[dup_at % n] = clean[(dup_at + 1) % n];
@@ -121,40 +119,39 @@ proptest! {
                         validate_offsets(&dup, n, UniquenessCheck::MarkTable),
                     )
                 });
-                prop_assert!(ok.is_ok(), "{} threads: {:?}", threads, ok);
-                prop_assert!(
+                assert!(ok.is_ok(), "{threads} threads: {ok:?}");
+                assert!(
                     matches!(err, Err(IndOffsetsError::Duplicate { .. })),
-                    "{} threads: {:?}",
-                    threads,
-                    err
+                    "{threads} threads: {err:?}"
                 );
             }
         }
-    }
+    });
+}
 
-    /// A proof only exists for arrays the plain check accepts, and a
-    /// scatter through the proof lands exactly where a checked scatter
-    /// would.
-    #[test]
-    fn proofs_exist_iff_validation_passes(
-        offsets in proptest::collection::vec(0usize..64, 0..64),
-        len in 0usize..64,
-    ) {
+/// A proof only exists for arrays the plain check accepts, and a
+/// scatter through the proof lands exactly where a checked scatter
+/// would.
+#[test]
+fn proofs_exist_iff_validation_passes() {
+    check("proofs_exist_iff_validation_passes", CASES, |g| {
+        let offsets = g.vec(0..64, |g| g.in_range(0..64) as usize);
+        let len = g.in_range(0..64) as usize;
         let direct = validate_offsets(&offsets, len, UniquenessCheck::Adaptive);
         let cached = validate_offsets_cached(&offsets, len, UniquenessCheck::Adaptive);
-        prop_assert_eq!(direct.is_ok(), cached.is_ok());
+        assert_eq!(direct.is_ok(), cached.is_ok());
         if let Ok(proof) = cached {
-            prop_assert_eq!(proof.target_len(), len);
-            prop_assert_eq!(proof.as_ptr(), offsets.as_ptr());
+            assert_eq!(proof.target_len(), len);
+            assert_eq!(proof.as_ptr(), offsets.as_ptr());
             let mut out = vec![usize::MAX; len];
             out.par_ind_iter_mut_proved(&proof)
                 .enumerate()
                 .for_each(|(i, slot)| *slot = i);
             for (i, &o) in offsets.iter().enumerate() {
-                prop_assert_eq!(out[o], i);
+                assert_eq!(out[o], i);
             }
         }
-    }
+    });
 }
 
 // The mutated-after-validation property (satellite of ISSUE 2): a proof
@@ -162,22 +159,22 @@ proptest! {
 // debug builds. Safe code cannot mutate behind the proof's borrow, so the
 // hidden test constructor stands in for an unsafe/FFI tamperer.
 #[cfg(debug_assertions)]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn stale_proofs_never_drive_an_iterator(
-        n in 2usize..64,
-        at in 0usize..64,
-        delta in 1usize..64,
-    ) {
+#[test]
+fn stale_proofs_never_drive_an_iterator() {
+    check("stale_proofs_never_drive_an_iterator", 32, |g| {
+        let n = g.size(2..64);
         let mut offsets: Vec<usize> = (0..n).collect();
         let pristine = proof::fingerprint_for_tests(&offsets, n);
         // Mutate one entry to a different in-bounds value — injecting a
-        // duplicate the original validation never saw.
-        let at = at % n;
-        offsets[at] = (offsets[at] + delta) % n;
-        prop_assume!(offsets[at] != at);
+        // duplicate the original validation never saw. (A step that is a
+        // multiple of `n` lands back on the entry: draw again.)
+        let at = g.in_range(0..64) as usize % n;
+        offsets[at] = loop {
+            let moved = (at + g.in_range(1..64) as usize) % n;
+            if moved != at {
+                break moved;
+            }
+        };
         // SAFETY: deliberately violated — that is the property under test.
         // Construction through the proof must panic on the fingerprint
         // re-check before any unchecked iterator exists.
@@ -190,6 +187,6 @@ proptest! {
             let _unreached = out.par_ind_iter_mut_proved(&stale);
         }))
         .is_err();
-        prop_assert!(caught, "stale proof accepted a mutated offsets array");
-    }
+        assert!(caught, "stale proof accepted a mutated offsets array");
+    });
 }

@@ -190,7 +190,7 @@ pub fn refine(mesh: &mut Triangulation, params: RefineParams) -> RefineStats {
             match p {
                 Some(plan) => live_plans.push((i, plan)),
                 None => {
-                    unref[bad[i as usize] as usize] = true;
+                    unref[bad[i] as usize] = true;
                     stats.unrefinable += 1;
                 }
             }

@@ -357,8 +357,8 @@ mod tests {
         for l in &mut lists {
             l.sort_unstable();
         }
-        for u in 0..n {
-            assert_eq!(g.neighbors(u), &lists[u][..], "vertex {u}");
+        for (u, list) in lists.iter().enumerate() {
+            assert_eq!(g.neighbors(u), &list[..], "vertex {u}");
         }
     }
 

@@ -138,7 +138,6 @@ pub fn add_weights(g: Graph, max_w: u32, seed: u64) -> WeightedGraph {
     let weights: Vec<u32> = (0..g.num_vertices())
         .into_par_iter()
         .flat_map_iter(|u| {
-            let r = r;
             g.neighbors(u).iter().map(move |&v| {
                 let (a, b) = if (u as u32) < v {
                     (u as u32, v)

@@ -167,7 +167,7 @@ pub fn from_dimacs_string(s: &str) -> Result<WeightedGraph, GraphParseError> {
     let mut edges: Vec<(u32, u32, u32)> = Vec::new();
     for (idx, raw) in s.lines().enumerate() {
         let ln = idx + 1;
-        let mut parts = raw.trim().split_whitespace();
+        let mut parts = raw.split_whitespace();
         match parts.next() {
             None | Some("c") => continue,
             Some("p") => {

@@ -280,7 +280,7 @@ where
     match backend {
         BackendKind::Mq => std::thread::scope(|s| {
             for _ in 0..n_threads {
-                s.spawn(&worker);
+                s.spawn(worker);
             }
         }),
         BackendKind::Rayon => rayon::scope(|s| {

@@ -123,7 +123,7 @@ pub fn rank_error_sweep(items: &[u64], queue_counts: &[usize]) -> Vec<(usize, Ra
 #[cfg(feature = "obs")]
 mod online {
     use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64};
     use std::sync::Mutex;
 
     pub(super) static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -176,6 +176,8 @@ pub(crate) fn online_on_pop(pri: u64) {
     }
     let mut mirror = online::MIRROR.lock().expect("sampler mirror");
     let period = online::PERIOD.load(Ordering::Relaxed);
+    // `is_multiple_of` is Rust 1.87; README's MSRV is 1.85.
+    #[allow(clippy::manual_is_multiple_of)]
     if online::OPS.fetch_add(1, Ordering::Relaxed) % period == 0 {
         let rank: usize = mirror.range(..pri).map(|(_, &c)| c).sum();
         rpb_obs::metrics::MQ_RANK_SAMPLES.add(1);

@@ -12,7 +12,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rpb_parlay::exec::{self, BackendKind, BatchTask, Executor, ALL_BACKENDS};
+use rpb_parlay::exec::{self, BatchTask, Executor, ALL_BACKENDS};
 
 fn executors() -> Vec<&'static dyn Executor> {
     rpb_multiqueue::ensure_registered();

@@ -93,6 +93,5 @@ mod tests {
         // Snapshot always carries the full schema, so JSON reports are
         // shape-stable across both builds.
         assert!(snap.counters.iter().any(|(n, _)| *n == "mq_pushes"));
-        metrics::reset();
     }
 }

@@ -276,8 +276,13 @@ mod tests {
         assert!(snap.histo("pool_thread_lifetime_ns").is_some());
     }
 
+    /// The registry is process-global and libtest runs tests on parallel
+    /// threads: the tests that write it must not overlap.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn capture_attributes_only_the_closure() {
+        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         EXEC_RUNS.add(100); // pre-existing noise the capture must discard
         let (out, snap) = capture(|| {
             EXEC_RUNS.add(7);
@@ -294,6 +299,7 @@ mod tests {
 
     #[test]
     fn reset_zeroes_everything() {
+        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         MQ_PUSHES.add(5);
         SNGIND_CHECK_NS.record(std::time::Duration::from_nanos(100));
         reset();

@@ -18,11 +18,7 @@ pub struct HistoSnapshot {
 impl HistoSnapshot {
     /// Mean recorded duration in nanoseconds (0 when empty).
     pub fn mean_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum_ns / self.count
-        }
+        self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 
     /// Upper bound (in nanoseconds) of the bucket containing the `q`

@@ -18,6 +18,8 @@
 //! * [`mod@sort`] — stable LSD radix sort, sample sort, and merge sort,
 //! * [`mod@list_rank`] — sampling-based parallel list ranking (used by `bw`),
 //! * [`mod@random`] — the PBBS 64-bit hash / counter-based RNG,
+//! * [`mod@prop`] — the seeded property-test harness the workspace's
+//!   property suites run on,
 //! * [`mod@seqdata`] — the PBBS sequence generators (uniform, exponential, zipf),
 //! * [`mod@slice_util`] — chunking helpers shared by the suite.
 //!
@@ -32,6 +34,7 @@ pub mod exec;
 pub mod list_rank;
 pub mod pack;
 pub mod panics;
+pub mod prop;
 pub mod random;
 pub mod reduce;
 pub mod scan;

@@ -50,6 +50,8 @@ pub fn list_order(next: &[usize], head: usize) -> Vec<usize> {
     }
     // Deterministic splitter set: head plus ~n/SEG pseudo-random nodes.
     const SEG: u64 = 512;
+    // `is_multiple_of` is Rust 1.87; README's MSRV is 1.85.
+    #[allow(clippy::manual_is_multiple_of)]
     let is_splitter = |i: usize| i == head || hash64(i as u64) % SEG == 0;
 
     // Phase 1: walk each splitter's segment in parallel until the next

@@ -27,7 +27,7 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> Clone for SendPtr<T> {
     fn clone(&self) -> Self {
-        SendPtr(self.0)
+        *self
     }
 }
 impl<T> Copy for SendPtr<T> {}

@@ -420,6 +420,13 @@ mod tests {
         }
     }
 
+    /// The configuration the environment asks for, runnable: `RPB_BACKEND=mq`
+    /// names a backend that is only there once its crate registered it.
+    fn env_cfg() -> PipelineConfig {
+        rpb_multiqueue::backend::ensure_registered();
+        PipelineConfig::default()
+    }
+
     #[test]
     fn identity_pipeline_preserves_items_in_order_at_one_worker() {
         for channel in ALL_CHANNELS {
@@ -455,7 +462,7 @@ mod tests {
     fn stage_closures_can_borrow_the_environment() {
         let data: Vec<u64> = (0..64).collect();
         let table = [10u64, 20, 30, 40];
-        let (sum, _) = Pipeline::source(PipelineConfig::default(), data.chunks(8).map(Vec::from))
+        let (sum, _) = Pipeline::source(env_cfg(), data.chunks(8).map(Vec::from))
             .and_then(|p| {
                 p.stage("lookup", 2, |chunk: Vec<u64>| {
                     chunk.iter().map(|&x| table[(x % 4) as usize]).sum::<u64>()
@@ -483,7 +490,7 @@ mod tests {
 
     #[test]
     fn empty_source_folds_to_init() {
-        let (out, stats) = Pipeline::source(PipelineConfig::default(), std::iter::empty::<u64>())
+        let (out, stats) = Pipeline::source(env_cfg(), std::iter::empty::<u64>())
             .and_then(|p| p.stage("id", 2, |x| x))
             .and_then(|p| p.run_fold(42u64, |a, x| a + x))
             .expect("clean run");

@@ -105,11 +105,10 @@ fn source_and_sink_panics_are_attributed_to_their_stage() {
         for channel in ALL_CHANNELS {
             let err = Pipeline::source(
                 cfg(channel, backend),
-                (0..50u64).map(|i| {
+                (0..50u64).inspect(|&i| {
                     if i == 25 {
                         panic!("injected source panic");
                     }
-                    i
                 }),
             )
             .and_then(|p| p.stage("id", 2, |x| x))

@@ -187,7 +187,7 @@ mod tests {
     fn odd_pass_count_copies_back() {
         // key_bits = 8 → one pass → result ends in buf and must copy back.
         let mut v: Vec<u64> = (0..20_000)
-            .map(|i| (rpb_parlay::random::hash64(i) % 256))
+            .map(|i| rpb_parlay::random::hash64(i) % 256)
             .collect();
         let mut want = v.clone();
         want.sort_unstable();

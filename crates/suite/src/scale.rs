@@ -35,7 +35,7 @@ impl Scale {
         }
     }
 
-    /// Smoke-test scale (sub-second totals; used by criterion benches).
+    /// Smoke-test scale (sub-second totals; `--scale small`).
     pub fn small() -> Scale {
         Scale {
             text_len: 50_000,

@@ -292,8 +292,8 @@ mod tests {
         bwt.retain(|&c| c != SENTINEL);
         assert_eq!(bwt_decode(&bwt), Err(BwtError::MissingSentinel));
         assert_eq!(bwt_decode_seq(&bwt), Err(BwtError::MissingSentinel));
-        assert_eq!(bwt_decode(&[b'x']), Err(BwtError::MissingSentinel));
-        assert_eq!(bwt_decode_seq(&[b'x']), Err(BwtError::MissingSentinel));
+        assert_eq!(bwt_decode(b"x"), Err(BwtError::MissingSentinel));
+        assert_eq!(bwt_decode_seq(b"x"), Err(BwtError::MissingSentinel));
     }
 
     #[test]

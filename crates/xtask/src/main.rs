@@ -224,10 +224,7 @@ fn blank_noncode(source: &str) -> String {
                     j += 1;
                 }
                 if bytes.get(j) == Some(&b'"') {
-                    out.push(b' ');
-                    for _ in 0..=hashes {
-                        out.push(b' ');
-                    }
+                    out.extend(std::iter::repeat_n(b' ', hashes + 2));
                     i = j + 1;
                     loop {
                         if i >= bytes.len() {
@@ -236,9 +233,7 @@ fn blank_noncode(source: &str) -> String {
                         if bytes[i] == b'"'
                             && bytes[i + 1..].iter().take(hashes).all(|&b| b == b'#')
                         {
-                            for _ in 0..=hashes {
-                                out.push(b' ');
-                            }
+                            out.extend(std::iter::repeat_n(b' ', hashes + 1));
                             i += 1 + hashes;
                             break;
                         }

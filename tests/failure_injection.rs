@@ -51,7 +51,7 @@ fn both_check_strategies_catch_the_same_bugs() {
 
 #[test]
 fn decreasing_chunk_boundary_is_rejected() {
-    let mut out = vec![0u8; 100];
+    let mut out = [0u8; 100];
     let offsets = vec![0usize, 40, 30, 100]; // the planted bug
     let err = out.try_par_ind_chunks_mut(&offsets).err();
     assert_eq!(err, Some(IndChunksError::NotMonotone { index: 2 }));
@@ -59,7 +59,7 @@ fn decreasing_chunk_boundary_is_rejected() {
 
 #[test]
 fn chunk_boundary_past_end_is_rejected() {
-    let mut out = vec![0u8; 100];
+    let mut out = [0u8; 100];
     let offsets = vec![0usize, 101];
     let err = out.try_par_ind_chunks_mut(&offsets).err();
     assert!(
@@ -128,7 +128,7 @@ fn hash_set_overflow_panics_with_message() {
 
 #[test]
 fn chunk_boundary_panic_message_is_helpful() {
-    let mut out = vec![0u8; 10];
+    let mut out = [0u8; 10];
     let offsets = vec![0usize, 7, 3]; // the planted bug: decreasing
     let result = std::panic::catch_unwind(move || {
         out.par_ind_chunks_mut(&offsets).for_each(|c| c.fill(1));
