@@ -35,7 +35,7 @@
 //!   mode under both validation-cost brackets (`fresh` = pool disabled,
 //!   `amortized` = pool warmed outside the capture): every check
 //!   strategy and the pooled fast path.
-//! * **`kernel-*`** × {`scalar`, `simd`} — the four vectorized hot
+//! * **`kernel-*`** × {`scalar`, `simd`} — the two vectorized hot
 //!   kernels of the `simd` feature under each dispatch pin (pins never
 //!   exceed what the CPU supports, so on non-AVX2 hardware or
 //!   default-feature builds both rows run scalar code).
@@ -51,7 +51,7 @@
 //!   capacity and one worker per stage.
 //!
 //! The last four families put the varied axis in the cell's `mode` field
-//! (keys read `kernel-hist/simd`, `backend-bfs-road/mq`, …) and require
+//! (keys read `kernel-radix/simd`, `backend-bfs-road/mq`, …) and require
 //! it to be *behaviorally invisible*: a group's hard counters must be
 //! equal across its rows, which `tests/gate_determinism.rs` asserts over
 //! the recorded baseline. The kernel rows' wall brackets document the
@@ -74,7 +74,6 @@ use std::path::Path;
 use std::sync::Arc;
 
 use rpb_fearless::pool;
-use rpb_fearless::snd_ind::{self, UniquenessCheck};
 use rpb_fearless::{rng_ind, ExecMode};
 use rpb_obs::{metrics, Json};
 use rpb_parlay::exec::{default_backend, set_default_backend, BackendKind, ALL_BACKENDS};
@@ -82,7 +81,6 @@ use rpb_parlay::simd::{self, KernelImpl};
 use rpb_pipeline::ALL_CHANNELS;
 use rpb_serve::trace::{self as serve_trace, TraceConfig, TraceReport};
 use rpb_serve::Datasets as ServeDatasets;
-use rpb_suite::hist;
 use rpb_suite::streaming::{self, StreamConfig};
 
 use crate::figures::in_pool_on;
@@ -549,18 +547,7 @@ type Kernel = fn(&Workloads, usize) -> TimingStats;
 /// The hot kernels of the `simd` feature's raw-speed pass. Each body is
 /// impl-agnostic on purpose — the row holds the dispatch pin — so both
 /// pins time the byte-identical call sequence.
-const KERNELS: [(&str, Kernel); 4] = [
-    // The bucketing sweep (multiply-shift strength reduction + AVX2
-    // counting): 256 non-power-of-two-width buckets, the gate's hist
-    // configuration.
-    ("kernel-hist", |w, reps| {
-        time_best(reps, || {
-            black_box(
-                hist::run_par(&w.seq, 256, w.seq.len() as u64, ExecMode::Unsafe)
-                    .expect("kernel-hist: 256 buckets over a non-zero range is valid"),
-            );
-        })
-    }),
+const KERNELS: [(&str, Kernel); 2] = [
     // Digit extraction + block counting: every radix pass counts, also
     // the constant-digit ones that both pins then skip — the pins differ
     // in the histogram kernel alone.
@@ -569,20 +556,6 @@ const KERNELS: [(&str, Kernel); 4] = [
             let mut v = w.seq.clone();
             rpb_parlay::radix_sort_u64(&mut v);
             black_box(v);
-        })
-    }),
-    // The fused bounds+uniqueness sweep over the shared bitset (the
-    // marking strategy with a vectorized fast path; `MarkTable`'s
-    // block-private sweep is one scalar loop under either pin). The
-    // offsets are a deterministic non-sequential permutation (evens
-    // then odds) so the sweep isn't a pure streaming walk.
-    ("kernel-sngind-validate", |w, reps| {
-        let len = w.seq.len();
-        let offsets: Vec<usize> = (0..len).step_by(2).chain((1..len).step_by(2)).collect();
-        time_best(reps, || {
-            snd_ind::validate_offsets(&offsets, len, UniquenessCheck::Bitset)
-                .expect("kernel-sngind-validate: a permutation validates");
-            black_box(&offsets);
         })
     }),
     // The monotonicity+bounds sweep over maximally fine chunk
@@ -906,7 +879,7 @@ pub fn compare(base: &Baseline, cur: &Baseline, tolerance: f64) -> Comparison {
         }
     }
 
-    // Keys run to 29 characters (`kernel-sngind-validate/scalar`): pad
+    // Keys run to 29 characters (`kernel-rngind-validate/scalar`): pad
     // to the longest one present so every later column lines up.
     let keys = base.cases.iter().chain(&cur.cases).map(|c| c.key().len());
     let width = keys.max().unwrap_or(0).max("case".len());
@@ -1487,7 +1460,7 @@ mod tests {
             assert!(b.cases.iter().all(|c| c.key().len() <= 22));
         }
         let mut long = cur.cases[0].clone();
-        long.name = "kernel-sngind-validate".into();
+        long.name = "kernel-rngind-validate".into();
         long.mode = "scalar".into();
         let width = long.key().len();
         assert_eq!(width, 29);
@@ -1503,7 +1476,7 @@ mod tests {
                 assert!(!key.trim_end().contains(' '), "sheared row: {line:?}");
             }
         }
-        assert!(cmp.table.contains("kernel-sngind-validate/scalar "));
+        assert!(cmp.table.contains("kernel-rngind-validate/scalar "));
     }
 
     /// Runs `f` over the cell table of a tiny workload set.
@@ -1531,11 +1504,7 @@ mod tests {
             want.push(format!("{name}/checked+amortized"));
         }
         for (family, axis, names) in [
-            (
-                "kernel",
-                ["scalar", "simd"],
-                "hist radix sngind-validate rngind-validate",
-            ),
+            ("kernel", ["scalar", "simd"], "radix rngind-validate"),
             (
                 "backend",
                 ["rayon", "mq"],
@@ -1551,7 +1520,7 @@ mod tests {
         with_tiny_cells(|cells| {
             let keys: Vec<String> = cells.iter().map(Cell::key).collect();
             assert_eq!(keys, want);
-            assert_eq!(keys.len(), 52);
+            assert_eq!(keys.len(), 48);
             for c in &cells {
                 // A kernel cell is meaningful only under an explicit pin
                 // — its mode's, never `Auto` — and nothing else pins.
@@ -1599,15 +1568,15 @@ mod tests {
         let b = with_kernel_cells(
             tiny_baseline(),
             &[
-                ("kernel-hist", "scalar", 3000),
-                ("kernel-hist", "simd", 1500),
+                ("kernel-rngind-validate", "scalar", 3000),
+                ("kernel-rngind-validate", "simd", 1500),
                 // A lone pin (simd cell missing) renders nothing for
                 // that kernel.
                 ("kernel-radix", "scalar", 9999),
             ],
         );
         let table = render_kernel_speedups(&b, true);
-        assert!(table.contains("kernel-hist"), "{table}");
+        assert!(table.contains("kernel-rngind-validate"), "{table}");
         assert!(table.contains("2.00x"), "{table}");
         assert!(!table.contains("kernel-radix"), "{table}");
     }
@@ -1619,8 +1588,8 @@ mod tests {
         let b = with_kernel_cells(
             tiny_baseline(),
             &[
-                ("kernel-hist", "scalar", 35_662),
-                ("kernel-hist", "simd", 20_660),
+                ("kernel-radix", "scalar", 35_662),
+                ("kernel-radix", "simd", 20_660),
             ],
         );
         let section = render_kernel_speedups(&b, false);

@@ -426,7 +426,7 @@ mod tests {
     fn kernel_impl_axis_runs_both_paths() {
         let w = Workloads::tiny();
         let cfg = VerifyConfig {
-            benches: vec!["hist".into(), "dedup".into()],
+            benches: vec!["sort".into(), "dedup".into()],
             modes: vec![ExecMode::Checked],
             workers: vec![2],
             kernel_impls: vec![KernelImpl::Scalar, KernelImpl::Simd],
@@ -599,7 +599,7 @@ mod tests {
     fn simd_impl_without_the_feature_is_a_usage_error() {
         let w = Workloads::tiny();
         let cfg = VerifyConfig {
-            benches: vec!["hist".into()],
+            benches: vec!["sort".into()],
             modes: vec![ExecMode::Checked],
             kernel_impls: vec![KernelImpl::Simd],
             ..VerifyConfig::default()

@@ -73,7 +73,7 @@ mod with_obs {
         let b = gate::record(&w, 1, 1);
 
         let keys: Vec<String> = b.cases.iter().map(|c| c.key()).collect();
-        assert_eq!(keys.len(), 52, "cells of a default-feature obs build");
+        assert_eq!(keys.len(), 48, "cells of a default-feature obs build");
         for (i, k) in keys.iter().enumerate() {
             assert!(!keys[..i].contains(k), "duplicate cell key {k}");
         }
@@ -91,7 +91,7 @@ mod with_obs {
         // record the events the family exists to gate, or the equality is
         // vacuous.
         for (prefix, axis, groups, nonzero) in [
-            ("kernel-", ["scalar", "simd"], 4, None), // per kernel, below
+            ("kernel-", ["scalar", "simd"], 2, None), // per kernel, below
             ("backend-", ["rayon", "mq"], 4, Some("mq_pushes")),
             ("serve-", ["rayon", "mq"], 2, Some("serve_jobs_admitted")),
             (
@@ -141,17 +141,12 @@ mod with_obs {
             );
             assert_eq!(cell.counter("pipeline_stage_panics"), 0, "{key}");
         }
-        for (key, counter) in [
-            ("kernel-sngind-validate/scalar", "sngind_offsets_validated"),
-            (
-                "kernel-rngind-validate/scalar",
-                "rngind_boundaries_validated",
-            ),
-        ] {
-            let cell = b.cases.iter().find(|c| c.key() == key);
-            let validated = cell.map_or(0, |c| c.counter(counter));
-            assert!(validated > 0, "{key} recorded no {counter}");
-        }
+        // `kernel-radix` counts nothing the gate holds hard; the RngInd
+        // sweep must have validated its boundaries under either pin.
+        let key = "kernel-rngind-validate/scalar";
+        let cell = b.cases.iter().find(|c| c.key() == key);
+        let validated = cell.map_or(0, |c| c.counter("rngind_boundaries_validated"));
+        assert!(validated > 0, "{key} validated no boundaries");
     }
 
     #[test]

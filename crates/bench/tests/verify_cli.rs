@@ -79,7 +79,9 @@ fn kernel_impl_axis_is_clean_across_the_suite() {
     // runs once per pinned kernel implementation. In default builds both
     // pins resolve to the scalar paths; in --features simd builds on an
     // AVX2 machine the second pass takes the vectorized kernels, and any
-    // scalar/simd divergence fails the cell.
+    // scalar/simd divergence fails the cell. Only `sort` (RngInd sweep)
+    // and `dedup` (radix digit histogram) reach one; the other rows,
+    // `hist` included, run the same code under both pins.
     let out = rpb_verify(&["--kernel-impl", "scalar,simd"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -110,7 +112,7 @@ fn simd_impl_on_a_scalar_build_is_a_usage_error_not_a_silent_pass() {
     // Without --features simd both "pins" would run the identical scalar
     // path and the differential would vacuously pass — the verifier must
     // refuse instead of pretending it compared anything.
-    let out = rpb_verify(&["--suite", "hist", "--kernel-impl", "scalar,simd"]);
+    let out = rpb_verify(&["--suite", "sort", "--kernel-impl", "scalar,simd"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(

@@ -109,7 +109,6 @@ pub fn validate_chunk_offsets(offsets: &[usize], len: usize) -> Result<(), IndCh
 }
 
 fn validate_chunk_offsets_inner(offsets: &[usize], len: usize) -> Result<(), IndChunksError> {
-    use rayon::prelude::*;
     if len == 0 {
         // An empty target admits only all-zero boundaries (any number of
         // empty chunks). Resolve this sequentially so the reported index
@@ -123,95 +122,102 @@ fn validate_chunk_offsets_inner(offsets: &[usize], len: usize) -> Result<(), Ind
             }),
         };
     }
+    // One decomposition under either compare kernel: the boundaries are
+    // cut into `CHUNK`-sized tasks and each task reports its first fault.
     #[cfg(all(feature = "simd", target_arch = "x86_64", target_pointer_width = "64"))]
     if rpb_parlay::simd::simd_enabled() {
-        return validate_chunk_offsets_simd(offsets, len);
-    }
-    // Bounds and monotonicity fused into one indexed sweep: boundary `i`
-    // checks itself and its predecessor, so every adjacent pair is covered
-    // without a second `windows` pass.
-    let err = offsets
-        .par_iter()
-        .enumerate()
-        .find_map_any(|(index, &offset)| {
-            if offset > len {
-                Some(IndChunksError::OutOfBounds { index, offset, len })
-            } else if index > 0 && offsets[index - 1] > offset {
-                Some(IndChunksError::NotMonotone { index })
-            } else {
-                None
-            }
+        rpb_obs::metrics::RNGIND_SIMD_SWEEPS.add(1);
+        return chunked_sweep(offsets, len, |start, end| {
+            // SAFETY: dispatch established AVX2 support via `simd_enabled()`,
+            // and `chunked_sweep` passes `start < end <= offsets.len()`.
+            unsafe { simd_sweep::first_boundary_fault(offsets, start, end, len) }
         });
-    match err {
+    }
+    chunked_sweep(offsets, len, |start, end| {
+        first_boundary_fault(offsets, start, end, len)
+    })
+}
+
+/// Boundaries per task of the sweep. A task per boundary would make the
+/// check's cost its dispatch, not its compares.
+const CHUNK: usize = 2048;
+
+/// Runs `first_fault(start, end)` — the first faulting boundary in
+/// positions `start..end` as `(index, is_oob)`, see
+/// [`first_boundary_fault`] — over `CHUNK`-sized position ranges in
+/// parallel and turns what it finds into the verdict.
+fn chunked_sweep(
+    offsets: &[usize],
+    len: usize,
+    first_fault: impl Fn(usize, usize) -> Option<(usize, bool)> + Sync,
+) -> Result<(), IndChunksError> {
+    use rayon::prelude::*;
+    let nchunks = offsets.len().div_ceil(CHUNK);
+    let fault = (0..nchunks).into_par_iter().find_map_any(|c| {
+        let start = c * CHUNK;
+        first_fault(start, (start + CHUNK).min(offsets.len()))
+    });
+    match fault {
         None => Ok(()),
-        Some(e @ IndChunksError::OutOfBounds { .. }) => Err(e),
-        Some(non_monotone) => Err(prefer_out_of_bounds(offsets, len, non_monotone)),
+        Some((index, true)) => Err(IndChunksError::OutOfBounds {
+            index,
+            offset: offsets[index],
+            len,
+        }),
+        Some((index, false)) => Err(prefer_out_of_bounds(offsets, len, index)),
     }
 }
 
-/// Cold error path shared by the sweep variants: the parallel sweep
-/// reported `non_monotone`; when an out-of-bounds boundary coexists with
+/// First faulting boundary in positions `start..end` of `offsets`:
+/// `(index, is_oob)`, where `is_oob` tells `offsets[index] > len` from
+/// `offsets[index - 1] > offsets[index]`; bounds win at an index with both.
+/// Position `start` is compared with its predecessor in the range before
+/// (position 0 has none), so adjacent ranges cover every adjacent pair.
+fn first_boundary_fault(
+    offsets: &[usize],
+    start: usize,
+    end: usize,
+    len: usize,
+) -> Option<(usize, bool)> {
+    let mut prev = if start == 0 { 0 } else { offsets[start - 1] };
+    for (index, &offset) in offsets[start..end].iter().enumerate() {
+        if offset > len {
+            return Some((start + index, true));
+        }
+        if prev > offset {
+            return Some((start + index, false));
+        }
+        prev = offset;
+    }
+    None
+}
+
+/// Cold error path: the parallel sweep found `offsets[non_monotone]`
+/// below its predecessor; when an out-of-bounds boundary coexists with
 /// it, prefer that deterministically (first by index), matching the
 /// historical bounds-then-monotone order — error path only, so the rescan
 /// is free in the success case.
-fn prefer_out_of_bounds(
-    offsets: &[usize],
-    len: usize,
-    non_monotone: IndChunksError,
-) -> IndChunksError {
+fn prefer_out_of_bounds(offsets: &[usize], len: usize, non_monotone: usize) -> IndChunksError {
     match offsets.iter().enumerate().find(|&(_, &o)| o > len) {
         Some((index, &offset)) => IndChunksError::OutOfBounds { index, offset, len },
-        None => non_monotone,
+        None => IndChunksError::NotMonotone {
+            index: non_monotone,
+        },
     }
 }
 
-/// AVX2 variant of the fused boundary sweep: each 256-bit step checks 4
-/// boundaries for bounds (`offset > len`) *and* 4 adjacent pairs for
-/// monotonicity (an unaligned load at `i - 1` supplies the predecessors),
-/// reporting the earliest faulting lane with the scalar path's
-/// bounds-before-monotone priority at equal index. Same verdict and
-/// error-variant contract as the scalar sweep, which remains the
-/// differential oracle.
-#[cfg(all(feature = "simd", target_arch = "x86_64", target_pointer_width = "64"))]
-fn validate_chunk_offsets_simd(offsets: &[usize], len: usize) -> Result<(), IndChunksError> {
-    use rayon::prelude::*;
-    rpb_obs::metrics::RNGIND_SIMD_SWEEPS.add(1);
-    const CHUNK: usize = 2048;
-    let nchunks = offsets.len().div_ceil(CHUNK);
-    let err = (0..nchunks).into_par_iter().find_map_any(|c| {
-        let start = c * CHUNK;
-        let end = ((c + 1) * CHUNK).min(offsets.len());
-        // SAFETY: dispatch established AVX2 support via `simd_enabled()`.
-        unsafe { simd_sweep::first_boundary_fault(offsets, start, end, len) }.map(
-            |(index, is_oob)| {
-                if is_oob {
-                    IndChunksError::OutOfBounds {
-                        index,
-                        offset: offsets[index],
-                        len,
-                    }
-                } else {
-                    IndChunksError::NotMonotone { index }
-                }
-            },
-        )
-    });
-    match err {
-        None => Ok(()),
-        Some(e @ IndChunksError::OutOfBounds { .. }) => Err(e),
-        Some(non_monotone) => Err(prefer_out_of_bounds(offsets, len, non_monotone)),
-    }
-}
-
-/// The vector kernel behind [`validate_chunk_offsets_simd`].
+/// The AVX2 compare kernel of the boundary sweep.
 #[cfg(all(feature = "simd", target_arch = "x86_64", target_pointer_width = "64"))]
 mod simd_sweep {
     use std::arch::x86_64::*;
 
-    /// First faulting boundary in positions `start..end` of `offsets`:
-    /// returns `(index, is_oob)` where `is_oob` distinguishes
-    /// `offsets[index] > len` from `offsets[index - 1] > offsets[index]`.
-    /// At an index with both faults, bounds win (the scalar check order).
+    /// [`super::first_boundary_fault`], four boundaries per 256-bit step:
+    /// one compare checks 4 boundaries for bounds, a second checks 4
+    /// adjacent pairs for monotonicity (an unaligned load at `i - 1`
+    /// supplies the predecessors), and the earliest faulting lane is
+    /// reported with the scalar bounds-before-monotone priority. The
+    /// scalar kernel is the differential oracle and finishes the lanes
+    /// left over.
     ///
     /// Unsigned 64-bit compares are emulated by flipping the sign bit of
     /// both sides (`a > b (unsigned) ⟺ (a ^ MIN) > (b ^ MIN) (signed)`).
@@ -257,16 +263,7 @@ mod simd_sweep {
             }
             i += 4;
         }
-        while i < end {
-            if offsets[i] > len {
-                return Some((i, true));
-            }
-            if offsets[i - 1] > offsets[i] {
-                return Some((i, false));
-            }
-            i += 1;
-        }
-        None
+        super::first_boundary_fault(offsets, i, end, len)
     }
 }
 

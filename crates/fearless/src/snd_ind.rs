@@ -360,22 +360,11 @@ fn bitmaps_overlap(buf: &mut [AtomicU64], words: usize) -> bool {
 /// (the historical two-pass contract, restored by a rescan on the cold
 /// error path). Which of several same-variant faults is reported remains
 /// schedule-dependent.
-///
-/// With the `simd` feature on a runtime-detected AVX2 CPU, the sweep
-/// dispatches to a chunked variant whose bounds check is vectorized (4
-/// offsets per compare) and whose mark loop runs branch-lean because the
-/// chunk is already known to be in bounds. The verdict and error-variant
-/// contract above is identical on both paths — the scalar sweep is the
-/// differential oracle (`rpb verify --kernel-impl scalar,simd`).
 fn fused_mark_sweep(
     offsets: &[usize],
     len: usize,
     bits: &[AtomicU64],
 ) -> Result<(), IndOffsetsError> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64", target_pointer_width = "64"))]
-    if rpb_parlay::simd::simd_enabled() {
-        return fused_mark_sweep_simd(offsets, len, bits);
-    }
     let err = offsets
         .par_iter()
         .enumerate()
@@ -418,96 +407,6 @@ fn settle(
             }
         }
         Some(out_of_bounds) => Err(out_of_bounds),
-    }
-}
-
-/// AVX2 variant of [`fused_mark_sweep`]: per parallel chunk, a vectorized
-/// bounds pre-scan (which reports out-of-bounds directly), then a tight
-/// uniqueness-mark loop over the now-proven-in-bounds chunk. Marking whole
-/// chunks instead of interleaving per-element bounds branches changes
-/// which bits are set when a fault aborts the sweep mid-way — harmless,
-/// because the next holder zeroes the bitmap — but never the verdict or
-/// the reported variant.
-#[cfg(all(feature = "simd", target_arch = "x86_64", target_pointer_width = "64"))]
-fn fused_mark_sweep_simd(
-    offsets: &[usize],
-    len: usize,
-    bits: &[AtomicU64],
-) -> Result<(), IndOffsetsError> {
-    rpb_obs::metrics::SNGIND_SIMD_SWEEPS.add(1);
-    // `validate_offsets_inner` resolved len == 0 before any sweep runs,
-    // which licenses the `len - 1` bound inside the vector compare.
-    debug_assert!(len >= 1);
-    const CHUNK: usize = 2048;
-    let err = offsets
-        .par_chunks(CHUNK)
-        .enumerate()
-        .find_map_any(|(c, chunk)| {
-            let base = c * CHUNK;
-            // SAFETY: dispatch established AVX2 support via `simd_enabled()`.
-            if let Some(k) = unsafe { simd_sweep::first_at_or_above(chunk, len) } {
-                return Some(IndOffsetsError::OutOfBounds {
-                    index: base + k,
-                    offset: chunk[k],
-                    len,
-                });
-            }
-            for (k, &offset) in chunk.iter().enumerate() {
-                if set_was_set(bits, offset) {
-                    return Some(IndOffsetsError::Duplicate {
-                        index: base + k,
-                        offset,
-                    });
-                }
-            }
-            None
-        });
-    settle(offsets, len, err)
-}
-
-/// The vector kernel behind [`fused_mark_sweep_simd`].
-#[cfg(all(feature = "simd", target_arch = "x86_64", target_pointer_width = "64"))]
-mod simd_sweep {
-    use std::arch::x86_64::*;
-
-    /// Index of the first element of `chunk` with `chunk[i] >= bound_len`,
-    /// scanning 4 offsets per 256-bit compare with a scalar remainder loop
-    /// for the tail lanes.
-    ///
-    /// AVX2 has no unsigned 64-bit compare, so both sides are biased by the
-    /// sign bit: `a >= b (unsigned) ⟺ (a ^ MIN) > ((b - 1) ^ MIN) (signed)`
-    /// — valid because `bound_len >= 1` (callers resolve the empty-target
-    /// case before sweeping).
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 (callers establish this through
-    /// [`rpb_parlay::simd::simd_enabled`]).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn first_at_or_above(chunk: &[usize], bound_len: usize) -> Option<usize> {
-        debug_assert!(bound_len >= 1);
-        let n = chunk.len();
-        let sign = _mm256_set1_epi64x(i64::MIN);
-        let bound = _mm256_set1_epi64x(((bound_len as u64 - 1) ^ (1u64 << 63)) as i64);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: i + 4 <= n keeps the 32-byte unaligned load in
-            // bounds (usize is 64-bit here by the target_pointer_width
-            // gate on this module).
-            let v = unsafe { _mm256_loadu_si256(chunk.as_ptr().add(i) as *const __m256i) };
-            let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(v, sign), bound);
-            let mask = _mm256_movemask_pd(_mm256_castsi256_pd(gt));
-            if mask != 0 {
-                return Some(i + mask.trailing_zeros() as usize);
-            }
-            i += 4;
-        }
-        while i < n {
-            if chunk[i] >= bound_len {
-                return Some(i);
-            }
-            i += 1;
-        }
-        None
     }
 }
 
@@ -1091,114 +990,6 @@ mod tests {
                 len: 0
             })
         );
-    }
-
-    /// Runs `validate_offsets` under a pinned scalar and a pinned simd
-    /// dispatch and returns both results. On builds/machines without AVX2
-    /// the two runs trivially coincide; with it, this is the scalar-oracle
-    /// differential for the vectorized sweep.
-    fn validate_both_impls(
-        offsets: &[usize],
-        len: usize,
-        strategy: UniquenessCheck,
-    ) -> (Result<(), IndOffsetsError>, Result<(), IndOffsetsError>) {
-        use rpb_parlay::simd::{pin, KernelImpl};
-        let run = |k| {
-            let _pin = pin(k);
-            validate_offsets(offsets, len, strategy)
-        };
-        (run(KernelImpl::Scalar), run(KernelImpl::Simd))
-    }
-
-    #[test]
-    fn simd_and_scalar_sweeps_agree_on_verdicts() {
-        let n = if cfg!(miri) { 131 } else { 50_003 }; // odd: exercises tail lanes
-        for strat in [UniquenessCheck::MarkTable, UniquenessCheck::Bitset] {
-            // Clean permutation: both accept.
-            let offsets = random_permutation(n, 21);
-            let (scalar, simd) = validate_both_impls(&offsets, n, strat);
-            assert_eq!(scalar, Ok(()), "{strat:?}");
-            assert_eq!(simd, Ok(()), "{strat:?}");
-
-            // Single out-of-bounds fault: exact error equality (the only
-            // fault is reported deterministically on both paths).
-            for oob_at in [0, 1, 2, 3, n / 2, n - 2, n - 1] {
-                let mut bad = offsets.clone();
-                bad[oob_at] = n + oob_at;
-                let (scalar, simd) = validate_both_impls(&bad, n, strat);
-                assert_eq!(
-                    scalar,
-                    Err(IndOffsetsError::OutOfBounds {
-                        index: oob_at,
-                        offset: n + oob_at,
-                        len: n,
-                    }),
-                    "{strat:?} oob_at={oob_at}"
-                );
-                assert_eq!(scalar, simd, "{strat:?} oob_at={oob_at}");
-            }
-
-            // Single duplicate: variant and offset agree (which of the two
-            // occurrences gets reported is schedule-dependent on both
-            // paths, so the index is not compared).
-            let mut dup = offsets.clone();
-            let planted = dup[n / 3];
-            dup[n - 1] = planted;
-            let (scalar, simd) = validate_both_impls(&dup, n, strat);
-            for (label, res) in [("scalar", scalar), ("simd", simd)] {
-                assert!(
-                    matches!(
-                        res,
-                        Err(IndOffsetsError::Duplicate { offset, .. }) if offset == planted
-                    ),
-                    "{strat:?} {label}: {res:?}"
-                );
-            }
-
-            // Duplicate *and* out-of-bounds: OutOfBounds must win, with the
-            // first-by-index fault, on both paths.
-            let mut both = dup.clone();
-            both[n / 2] = n + 1;
-            let (scalar, simd) = validate_both_impls(&both, n, strat);
-            let want = Err(IndOffsetsError::OutOfBounds {
-                index: n / 2,
-                offset: n + 1,
-                len: n,
-            });
-            assert_eq!(scalar, want, "{strat:?}");
-            assert_eq!(simd, want, "{strat:?}");
-        }
-    }
-
-    #[test]
-    fn simd_and_scalar_sweeps_agree_on_tiny_and_tail_sizes() {
-        // The shared-bitmap arm is the one with a vector path. Sizes
-        // straddling the 4-lane width: 0..=9 plus a chunk boundary.
-        for n in (0..=9).chain([2048, 2049, 2051]) {
-            if cfg!(miri) && n > 64 {
-                continue;
-            }
-            let offsets: Vec<usize> = (0..n).collect();
-            let (scalar, simd) = validate_both_impls(&offsets, n.max(1), UniquenessCheck::Bitset);
-            assert_eq!(scalar, simd, "clean n={n}");
-            if n == 0 {
-                continue;
-            }
-            // Out-of-bounds in the scalar tail (last element).
-            let mut bad = offsets.clone();
-            bad[n - 1] = n;
-            let (scalar, simd) = validate_both_impls(&bad, n, UniquenessCheck::Bitset);
-            assert_eq!(
-                scalar,
-                Err(IndOffsetsError::OutOfBounds {
-                    index: n - 1,
-                    offset: n,
-                    len: n,
-                }),
-                "n={n}"
-            );
-            assert_eq!(scalar, simd, "oob n={n}");
-        }
     }
 
     #[test]

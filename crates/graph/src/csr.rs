@@ -11,26 +11,6 @@ use std::ops::Range;
 use rpb_parlay::scan::scan_inplace_exclusive;
 use rpb_parlay::sendptr::SendPtr;
 
-/// True when the traversal kernels should issue software prefetches: the
-/// `simd` raw-speed feature is compiled in and runtime dispatch (AVX2
-/// present, `RPB_FORCE_SCALAR` unset, no forced-scalar override) agrees.
-///
-/// Prefetching itself needs nothing beyond baseline SSE; it shares the
-/// AVX2 dispatch switch so that one knob — and the scalar/simd
-/// differential axis of `rpb verify` — flips the *entire* raw-speed pass.
-/// Kernels check once per frontier, not per vertex.
-#[inline]
-pub fn prefetch_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64", not(miri)))]
-    {
-        rpb_parlay::simd::simd_enabled()
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64", not(miri))))]
-    {
-        false
-    }
-}
-
 /// An unweighted directed graph in CSR form. For undirected graphs both
 /// arc directions are stored.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -136,43 +116,6 @@ impl Graph {
             .for_each(|chunk| chunk.sort_unstable());
     }
 
-    /// Hints the CPU to pull `v`'s adjacency row toward L1 ahead of its
-    /// expansion. Frontier order is data-dependent, so the hardware
-    /// prefetcher cannot predict these rows; issuing the hint a few
-    /// frontier slots early (callers use [`Graph::PREFETCH_DISTANCE`])
-    /// hides most of the miss. Compiles to nothing without
-    /// `--features simd` (or off x86_64); callers gate on
-    /// [`prefetch_active`] so the scalar differential axis also skips it.
-    #[inline]
-    pub fn prefetch_row(&self, v: usize) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64", not(miri)))]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let row = self.offsets[v]..self.offsets[v + 1];
-            if row.is_empty() {
-                return;
-            }
-            let ptr = self.adj[row.start..row.end].as_ptr();
-            // SAFETY: prefetch is a pure performance hint — it never
-            // faults and carries no memory-safety obligations.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(ptr.cast()) };
-            if row.len() > 16 {
-                // Rows longer than one cache line: grab the second line
-                // too (16 × u32 = 64 bytes).
-                // SAFETY: as above; the address is within the row.
-                unsafe { _mm_prefetch::<_MM_HINT_T0>(ptr.wrapping_add(16).cast()) };
-            }
-            rpb_obs::metrics::GRAPH_PREFETCH_ROWS.add(1);
-        }
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64", not(miri))))]
-        let _ = v;
-    }
-
-    /// Frontier slots of look-ahead between issuing [`Graph::prefetch_row`]
-    /// and expanding the row: far enough to beat DRAM latency, near
-    /// enough to stay resident in L1/L2 until use.
-    pub const PREFETCH_DISTANCE: usize = 8;
-
     /// Partitions the indices of `frontier` into roughly `ntasks`
     /// contiguous, in-order ranges of approximately equal **edge** work.
     ///
@@ -241,22 +184,6 @@ impl WeightedGraph {
     #[inline]
     pub fn num_arcs(&self) -> usize {
         self.graph.num_arcs()
-    }
-
-    /// Weighted variant of [`Graph::prefetch_row`]: pulls the weight row
-    /// alongside the adjacency row (the kernels read both).
-    #[inline]
-    pub fn prefetch_row(&self, v: usize) {
-        self.graph.prefetch_row(v);
-        #[cfg(all(feature = "simd", target_arch = "x86_64", not(miri)))]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            if let Some(w) = self.weights.get(self.graph.offsets[v]) {
-                // SAFETY: prefetch is a pure performance hint — it never
-                // faults and carries no memory-safety obligations.
-                unsafe { _mm_prefetch::<_MM_HINT_T0>((w as *const u32).cast()) };
-            }
-        }
     }
 
     /// `(neighbor, weight)` pairs of `v`.
@@ -426,22 +353,5 @@ mod tests {
         assert!(g.partition_frontier_by_edges(&[], 4).is_empty());
         // ntasks = 0 is treated as 1.
         assert_eq!(g.partition_frontier_by_edges(&frontier, 0), vec![0..8]);
-    }
-
-    #[test]
-    fn prefetch_row_accepts_every_vertex() {
-        // A pure hint: must be callable on any vertex, including ones
-        // with empty rows, under every feature combination.
-        let g = diamond();
-        for v in 0..g.num_vertices() {
-            g.prefetch_row(v);
-        }
-        let empty = Graph::from_edges(2, &[]);
-        empty.prefetch_row(0);
-        empty.prefetch_row(1);
-        let wg = WeightedGraph::from_edges(3, &[(0, 1, 5)]);
-        for v in 0..wg.num_vertices() {
-            wg.prefetch_row(v);
-        }
     }
 }

@@ -16,5 +16,5 @@ pub mod gen;
 pub mod io;
 pub mod seq;
 
-pub use csr::{prefetch_active, Graph, WeightedGraph};
+pub use csr::{Graph, WeightedGraph};
 pub use gen::{grid_road, rmat, uniform_random, GraphKind};

@@ -6,7 +6,7 @@
 //! of Rayon scopes. Batches map onto the executor directly: task *i*
 //! becomes a queued item with priority *i*, and the executor's typed
 //! `ExecutorError` (first panic payload + completed/drained accounting)
-//! maps 1:1 onto [`BatchError`].
+//! is [`BatchError`] itself.
 //!
 //! [`Executor::install`] delegates the ambient *data-parallel* pool to
 //! the Rayon backend: the MQ executor schedules explicit task batches,
@@ -47,16 +47,11 @@ impl Executor for MqExecutor {
             .enumerate()
             .map(|(i, t)| (i as u64, t))
             .collect();
-        match crate::executor::try_execute(workers, 2 * workers, initial, |_, t, _| t()) {
-            Ok(stats) => Ok(BatchStats {
-                tasks: stats.tasks,
-                workers,
-            }),
-            Err(err) => {
-                let (completed, drained) = (err.tasks_completed, err.tasks_drained);
-                Err(BatchError::new(err.into_payload(), completed, drained))
-            }
-        }
+        let stats = crate::executor::try_execute(workers, 2 * workers, initial, |_, t, _| t())?;
+        Ok(BatchStats {
+            tasks: stats.tasks,
+            workers,
+        })
     }
 }
 

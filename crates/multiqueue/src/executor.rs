@@ -22,7 +22,6 @@
 //! payload on the caller's thread.
 
 use std::any::Any;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -43,58 +42,12 @@ pub struct ExecutorStats {
 
 /// A task panicked during [`try_execute`]; the run was unwound cleanly.
 ///
-/// Carries the first panic's payload (later concurrent panics are dropped)
-/// plus accounting of what completed and what was abandoned. The queue's
-/// remaining tasks were drained and dropped before this error was
-/// returned, so no worker is left running and no task payload leaks.
-pub struct ExecutorError {
-    payload: Box<dyn Any + Send + 'static>,
-    /// Tasks that finished executing before the run was abandoned.
-    pub tasks_completed: usize,
-    /// Tasks still queued at abandonment, drained and dropped.
-    pub tasks_drained: usize,
-}
-
-impl ExecutorError {
-    /// The panic message, when the payload was a `&'static str` or `String`.
-    pub fn message(&self) -> &str {
-        panic_message(&*self.payload)
-    }
-
-    /// Consumes the error, returning the captured panic payload.
-    pub fn into_payload(self) -> Box<dyn Any + Send + 'static> {
-        self.payload
-    }
-
-    /// Re-raises the captured panic on the current thread.
-    pub fn resume(self) -> ! {
-        std::panic::resume_unwind(self.payload)
-    }
-}
-
-impl fmt::Debug for ExecutorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ExecutorError")
-            .field("message", &self.message())
-            .field("tasks_completed", &self.tasks_completed)
-            .field("tasks_drained", &self.tasks_drained)
-            .finish()
-    }
-}
-
-impl fmt::Display for ExecutorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "executor task panicked: {} ({} tasks completed, {} drained)",
-            self.message(),
-            self.tasks_completed,
-            self.tasks_drained
-        )
-    }
-}
-
-impl std::error::Error for ExecutorError {}
+/// The executor's error *is* the batch error of the `rpb_parlay::exec`
+/// trait — the first panic's payload (later concurrent panics are dropped)
+/// plus what completed and what was abandoned — so the MQ backend hands it
+/// through unchanged. The queue's remaining tasks were drained and dropped
+/// before it is returned: no worker is left running, no task payload leaks.
+pub use rpb_parlay::exec::BatchError as ExecutorError;
 
 /// Capability handed to tasks for spawning children.
 pub struct Handle<'a, T> {
@@ -305,11 +258,7 @@ where
             .expect("panicked flag implies a stored payload");
         rpb_obs::metrics::EXEC_TASK_PANICS.add(1);
         rpb_obs::metrics::EXEC_TASKS_DRAINED.add(drained as u64);
-        return Err(ExecutorError {
-            payload,
-            tasks_completed: stats.tasks,
-            tasks_drained: drained,
-        });
+        return Err(ExecutorError::new(payload, stats.tasks, drained));
     }
     Ok(stats)
 }

@@ -137,21 +137,11 @@ define_metrics! {
         RADIX_TRIVIAL_PASSES_ELIDED => "radix_trivial_passes_elided":
             "Radix passes skipped because a single digit bucket held every \
              element (the stable scatter would be the identity).",
-        // SIMD dispatch accounting (never hard-gated: these legitimately
-        // differ between scalar and simd kernel implementations).
-        SNGIND_SIMD_SWEEPS => "sngind_simd_sweeps":
-            "Fused SngInd validation sweeps taken by the AVX2 bounds \
-             pre-scan path.",
+        // SIMD dispatch accounting (never hard-gated: it legitimately
+        // differs between scalar and simd kernel implementations).
         RNGIND_SIMD_SWEEPS => "rngind_simd_sweeps":
             "RngInd boundary sweeps taken by the AVX2 bounds+monotonicity \
              path.",
-        HIST_SIMD_BLOCKS => "hist_simd_blocks":
-            "Histogram input blocks bucketed by the AVX2 multiply-shift \
-             path.",
-        // rpb-graph: cache-aware traversal pass.
-        GRAPH_PREFETCH_ROWS => "graph_prefetch_rows":
-            "CSR adjacency rows software-prefetched ahead of frontier \
-             expansion.",
         // rpb-bench: Rayon pool lifecycle.
         POOL_THREADS_STARTED => "pool_threads_started":
             "Rayon worker threads started by instrumented pools.",

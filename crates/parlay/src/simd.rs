@@ -1,7 +1,7 @@
 //! Runtime dispatch for the feature-gated SIMD fast paths.
 //!
-//! The vectorized kernels (validation sweeps, radix digit histograms,
-//! histogram bucketing) are compiled only with `--features simd` on
+//! The vectorized kernels (the RngInd validation sweep, radix digit
+//! histograms) are compiled only with `--features simd` on
 //! `x86_64`, and even then the scalar code remains the mandatory
 //! fallback: every call site asks [`simd_enabled`] per invocation, which
 //! folds together

@@ -10,14 +10,10 @@
 //! global barrier per level — the trade the paper's Sec. 6 schedulers
 //! navigate.
 //!
-//! Cache-aware raw-speed pass (part of the `simd` feature's dispatch
-//! switch): each level partitions the frontier by *edge* counts rather
-//! than vertex counts ([`Graph::partition_frontier_by_edges`]), so a
-//! power-law hub no longer serializes its level, and software-prefetches
-//! the CSR row [`Graph::PREFETCH_DISTANCE`] frontier slots ahead of its
-//! expansion ([`rpb_graph::prefetch_active`]). Neither changes which
-//! vertex claims which child — distances are identical with the pass
-//! forced off via `RPB_FORCE_SCALAR=1`.
+//! Each level partitions the frontier by *edge* counts rather than vertex
+//! counts ([`Graph::partition_frontier_by_edges`]), so a power-law hub
+//! does not serialize its level. The cut decides which task expands a
+//! vertex, never the distances.
 
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,18 +26,12 @@ pub const INF: u64 = u64::MAX;
 /// Expands one BFS level: every neighbour of `frontier` not yet claimed
 /// is claimed at `level` (CAS; exactly one parent wins) and returned as
 /// the next frontier.
-fn expand(g: &Graph, dist: &[AtomicU64], frontier: &[u32], level: u64, prefetch: bool) -> Vec<u32> {
+fn expand(g: &Graph, dist: &[AtomicU64], frontier: &[u32], level: u64) -> Vec<u32> {
     let ntasks = rayon::current_num_threads().max(1) * 4;
     g.partition_frontier_by_edges(frontier, ntasks)
         .into_par_iter()
         .flat_map_iter(|r| {
-            let chunk = &frontier[r];
-            chunk.iter().enumerate().flat_map(move |(i, &u)| {
-                if prefetch {
-                    if let Some(&ahead) = chunk.get(i + Graph::PREFETCH_DISTANCE) {
-                        g.prefetch_row(ahead as usize);
-                    }
-                }
+            frontier[r].iter().flat_map(move |&u| {
                 g.neighbors(u as usize).iter().filter_map(move |&v| {
                     // Claim v for this level; exactly one parent wins.
                     dist[v as usize]
@@ -59,12 +49,11 @@ pub fn run_par(g: &Graph, src: usize) -> Vec<u64> {
     let n = g.num_vertices();
     let dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(INF)).collect();
     dist[src].store(0, Ordering::Relaxed);
-    let prefetch = rpb_graph::prefetch_active();
     let mut frontier: Vec<u32> = vec![src as u32];
     let mut level = 0u64;
     while !frontier.is_empty() {
         level += 1;
-        frontier = expand(g, &dist, &frontier, level, prefetch);
+        frontier = expand(g, &dist, &frontier, level);
     }
     dist.into_iter().map(|d| d.into_inner()).collect()
 }
@@ -74,13 +63,12 @@ pub fn frontier_profile(g: &Graph, src: usize) -> Vec<usize> {
     let n = g.num_vertices();
     let dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(INF)).collect();
     dist[src].store(0, Ordering::Relaxed);
-    let prefetch = rpb_graph::prefetch_active();
     let mut frontier: Vec<u32> = vec![src as u32];
     let mut sizes = vec![1usize];
     let mut level = 0u64;
     while !frontier.is_empty() {
         level += 1;
-        frontier = expand(g, &dist, &frontier, level, prefetch);
+        frontier = expand(g, &dist, &frontier, level);
         if !frontier.is_empty() {
             sizes.push(frontier.len());
         }
@@ -140,17 +128,9 @@ mod tests {
 
     #[test]
     fn raw_speed_pass_does_not_change_distances() {
-        use rpb_parlay::simd::{pin, KernelImpl};
-
-        // Prefetch + edge partitioning must be invisible in the output:
-        // forced-scalar and forced-simd runs agree on a hubby graph.
+        // Edge partitioning must be invisible in the output on a hubby
+        // graph, where one vertex exceeds a task's whole edge quota.
         let g = inputs::graph(GraphKind::Rmat, if cfg!(miri) { 60 } else { 3000 });
-        let run_under = |k| {
-            let _pin = pin(k);
-            run_par(&g, 0)
-        };
-        let scalar = run_under(KernelImpl::Scalar);
-        assert_eq!(scalar, run_under(KernelImpl::Simd));
-        assert_eq!(scalar, rpb_graph::seq::bfs(&g, 0));
+        assert_eq!(run_par(&g, 0), rpb_graph::seq::bfs(&g, 0));
     }
 }

@@ -19,11 +19,7 @@
 //! Raw-speed pass: bucket assignment is `min(x / width, nbuckets - 1)`,
 //! and the per-element `u64` division is strength-reduced at construction
 //! time to a shift (power-of-two width) or an exact Granlund–Montgomery
-//! multiply-shift ([`Bucketer`]). With `--features simd` on an AVX2
-//! machine the blocked arm additionally buckets four lanes per iteration
-//! into striped count tables (`RPB_FORCE_SCALAR=1` or
-//! [`rpb_parlay::simd::pin`] pins the scalar path; outputs are
-//! differentially pinned equal).
+//! multiply-shift ([`Bucketer`]).
 //!
 //! A zero bucket count is a degenerate parameter: every entry point
 //! returns [`SuiteError::DegenerateParameter`] for it instead of
@@ -124,26 +120,6 @@ fn bucketer(nbuckets: usize, range: u64) -> Result<Bucketer, SuiteError> {
     Ok(Bucketer::new(nbuckets, range))
 }
 
-/// One block's bucket counts: four AVX2 lanes per iteration when the
-/// vector path is compiled in and enabled, scalar otherwise.
-fn block_counts(chunk: &[u64], bucket_of: &Bucketer) -> Vec<u64> {
-    let mut local = vec![0u64; bucket_of.nbuckets];
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if bucket_of.nbuckets > 1
-        && !matches!(bucket_of.div, DivKind::Plain)
-        && rpb_parlay::simd::simd_enabled()
-    {
-        // SAFETY: `simd_enabled` confirmed AVX2 support at runtime.
-        unsafe { avx2::bucket_counts(chunk, bucket_of, &mut local) };
-        rpb_obs::metrics::HIST_SIMD_BLOCKS.add(1);
-        return local;
-    }
-    for &x in chunk {
-        local[bucket_of.index(x)] += 1;
-    }
-    local
-}
-
 /// Parallel histogram of `data` into `nbuckets` equal-width buckets over
 /// `[0, range)`.
 pub fn run_par(
@@ -157,7 +133,13 @@ pub fn run_par(
         ExecMode::Unsafe | ExecMode::Checked => {
             // Per-block locals + merge: fearless safe Rust.
             data.par_chunks(BLOCK)
-                .map(|chunk| block_counts(chunk, &bucket_of))
+                .map(|chunk| {
+                    let mut local = vec![0u64; nbuckets];
+                    for &x in chunk {
+                        local[bucket_of.index(x)] += 1;
+                    }
+                    local
+                })
                 .reduce(
                     || vec![0u64; nbuckets],
                     |mut a, b| {
@@ -225,116 +207,6 @@ pub fn verify(data: &[u64], nbuckets: usize, counts: &[u64]) -> Result<(), Suite
         ));
     }
     Ok(())
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx2 {
-    //! AVX2 bucket assignment: four `u64` lanes per iteration through the
-    //! same shift / multiply-shift divider the scalar [`Bucketer`] uses,
-    //! counting into four striped tables so skewed inputs (the suite's
-    //! exponential workload concentrates mass in the low buckets) don't
-    //! serialize on store-to-load forwarding of one hot counter.
-
-    use std::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_loadu_si256, _mm256_mul_epu32,
-        _mm256_set1_epi64x, _mm256_srl_epi64, _mm256_srli_epi64, _mm256_storeu_si256,
-        _mm256_sub_epi64, _mm_cvtsi32_si128,
-    };
-
-    use super::{Bucketer, DivKind};
-
-    /// Adds `chunk`'s bucket counts into `local` (length `nbuckets`,
-    /// zeroed by the caller).
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 (callers dispatch through
-    /// `rpb_parlay::simd::simd_enabled`).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn bucket_counts(chunk: &[u64], bucket_of: &Bucketer, local: &mut [u64]) {
-        let nb = local.len();
-        let top = nb - 1;
-        // Four striped count tables: lane k increments stripe k, so a
-        // run of hits on one hot bucket updates four independent
-        // addresses instead of one dependent chain.
-        let mut stripes = vec![0u64; 4 * nb];
-        let mut lanes = [0u64; 4];
-        let n = chunk.len();
-        let mut i = 0;
-        let tally = |stripes: &mut [u64], lanes: &[u64; 4]| {
-            for (k, &q) in lanes.iter().enumerate() {
-                stripes[k * nb + (q as usize).min(top)] += 1;
-            }
-        };
-        match bucket_of.div {
-            DivKind::Shift(s) => {
-                let count = _mm_cvtsi32_si128(s as i32);
-                while i + 4 <= n {
-                    // SAFETY: `i + 4 <= n` bounds the 32-byte read.
-                    let x = unsafe { _mm256_loadu_si256(chunk.as_ptr().add(i).cast()) };
-                    let q = _mm256_srl_epi64(x, count);
-                    // SAFETY: `lanes` is a 32-byte local.
-                    unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), q) };
-                    tally(&mut stripes, &lanes);
-                    i += 4;
-                }
-            }
-            DivKind::MulShift { magic, shift } => {
-                let m = _mm256_set1_epi64x(magic as i64);
-                let count = _mm_cvtsi32_si128(shift as i32 - 1);
-                while i + 4 <= n {
-                    // SAFETY: `i + 4 <= n` bounds the 32-byte read.
-                    let x = unsafe { _mm256_loadu_si256(chunk.as_ptr().add(i).cast()) };
-                    let t = mulhi_epu64(x, m);
-                    // Round-up correction, then the final shift:
-                    // (t + ((x - t) >> 1)) >> (shift - 1). `t <= x`
-                    // per-lane, so the subtraction never wraps.
-                    let q = _mm256_srl_epi64(
-                        _mm256_add_epi64(t, _mm256_srli_epi64::<1>(_mm256_sub_epi64(x, t))),
-                        count,
-                    );
-                    // SAFETY: `lanes` is a 32-byte local.
-                    unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), q) };
-                    tally(&mut stripes, &lanes);
-                    i += 4;
-                }
-            }
-            // Never dispatched here (see `block_counts`); leaving `i` at
-            // 0 routes everything through the scalar tail regardless.
-            DivKind::Plain => {}
-        }
-        while i < n {
-            stripes[bucket_of.index(chunk[i])] += 1;
-            i += 1;
-        }
-        for (bucket, slot) in local.iter_mut().enumerate() {
-            *slot += stripes[bucket]
-                + stripes[nb + bucket]
-                + stripes[2 * nb + bucket]
-                + stripes[3 * nb + bucket];
-        }
-    }
-
-    /// Unsigned 64×64→high-64 multiply per lane, assembled from the
-    /// 32×32→64 partial products (AVX2 has no widening 64-bit multiply).
-    #[target_feature(enable = "avx2")]
-    fn mulhi_epu64(x: __m256i, m: __m256i) -> __m256i {
-        let lo32 = _mm256_set1_epi64x(0xFFFF_FFFF);
-        let xh = _mm256_srli_epi64::<32>(x);
-        let mh = _mm256_srli_epi64::<32>(m);
-        let ll = _mm256_mul_epu32(x, m);
-        let hl = _mm256_mul_epu32(xh, m);
-        let lh = _mm256_mul_epu32(x, mh);
-        let hh = _mm256_mul_epu32(xh, mh);
-        // Each partial sum stays below 2^64: the products are at most
-        // (2^32-1)^2 and the carries below 2^32.
-        let carry = _mm256_add_epi64(hl, _mm256_srli_epi64::<32>(ll));
-        let mid = _mm256_add_epi64(lh, _mm256_and_si256(carry, lo32));
-        _mm256_add_epi64(
-            _mm256_add_epi64(hh, _mm256_srli_epi64::<32>(carry)),
-            _mm256_srli_epi64::<32>(mid),
-        )
-    }
 }
 
 /// A multi-word accumulator with no atomic equivalent — the "large
@@ -594,43 +466,6 @@ mod tests {
             run_par(&data, 16, n as u64, ExecMode::Sync).expect("hist"),
             want
         );
-    }
-
-    #[test]
-    fn simd_and_scalar_bucket_counts_agree() {
-        use rpb_parlay::simd::{pin, KernelImpl};
-
-        let both = |data: &[u64], nbuckets: usize, range: u64| {
-            let run_under = |k| {
-                let _pin = pin(k);
-                run_par(data, nbuckets, range, ExecMode::Unsafe).expect("hist")
-            };
-            assert_eq!(
-                run_under(KernelImpl::Scalar),
-                run_under(KernelImpl::Simd),
-                "nbuckets {nbuckets} range {range}"
-            );
-        };
-
-        let n = if cfg!(miri) { 130 } else { 3 * BLOCK + 17 };
-        let data = inputs::exponential(n);
-        for (nbuckets, range) in [
-            (256usize, n as u64), // multiply-shift divider
-            (7, n as u64),
-            (2, u64::MAX - 1), // shift = 63
-            (64, 64),          // width 1 (shift divider)
-            (16, 4096),        // pow2 width, exercises the clamp
-        ] {
-            both(&data, nbuckets, range);
-        }
-        // Full-range values stress the vector mulhi partial products and
-        // a remainder tail that isn't a multiple of the lane width.
-        let mut extreme = vec![0u64, 1, 2, u64::MAX, u64::MAX - 1, u64::MAX / 3];
-        extreme.extend((0..64).map(|p| 1u64 << p));
-        extreme.extend((1..40).map(|i| u64::MAX - i));
-        for (nbuckets, range) in [(97usize, u64::MAX), (1024, u64::MAX / 7), (5, 1u64 << 40)] {
-            both(&extreme, nbuckets, range);
-        }
     }
 
     #[cfg(not(miri))]

@@ -35,10 +35,7 @@ pub fn run_par(g: &WeightedGraph, src: usize, delta: u64) -> Result<Vec<u64>, Su
     let n = g.num_vertices();
     let dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(INF)).collect();
     dist[src].store(0, Ordering::Relaxed);
-    // Cache-aware pass (shared dispatch with the `simd` feature): waves
-    // are split by edge counts so one hub can't serialize a bucket, and
-    // CSR rows are prefetched a few wave slots ahead of their relaxation.
-    let prefetch = rpb_graph::prefetch_active();
+    // Waves are split by edge counts so one hub can't serialize a bucket.
     let ntasks = rayon::current_num_threads().max(1) * 4;
     let mut current: Vec<u32> = vec![src as u32];
     let mut bucket = 0u64;
@@ -53,14 +50,7 @@ pub fn run_par(g: &WeightedGraph, src: usize, delta: u64) -> Result<Vec<u64>, Su
                 .partition_frontier_by_edges(wave, ntasks)
                 .into_par_iter()
                 .flat_map_iter(|r| {
-                    let chunk = &wave[r];
-                    chunk.iter().enumerate().flat_map(move |(i, &u)| {
-                        if prefetch {
-                            if let Some(&ahead) = chunk.get(i + rpb_graph::Graph::PREFETCH_DISTANCE)
-                            {
-                                g.prefetch_row(ahead as usize);
-                            }
-                        }
+                    wave[r].iter().flat_map(move |&u| {
                         let du = dist[u as usize].load(Ordering::Relaxed);
                         let stale = du >= bucket_end;
                         g.neighbors(u as usize).filter_map(move |(v, w)| {
@@ -174,17 +164,13 @@ mod tests {
 
     #[test]
     fn raw_speed_pass_does_not_change_distances() {
-        use rpb_parlay::simd::{pin, KernelImpl};
-
+        // Edge-partitioned waves on a hubby graph at the default delta.
         let g = inputs::weighted_graph(GraphKind::Rmat, if cfg!(miri) { 60 } else { 2000 });
         let delta = default_delta(&g);
-        let run_under = |k| {
-            let _pin = pin(k);
-            run_par(&g, 0, delta).expect("sssp")
-        };
-        let scalar = run_under(KernelImpl::Scalar);
-        assert_eq!(scalar, run_under(KernelImpl::Simd));
-        assert_eq!(scalar, rpb_graph::seq::dijkstra(&g, 0));
+        assert_eq!(
+            run_par(&g, 0, delta).expect("sssp"),
+            rpb_graph::seq::dijkstra(&g, 0)
+        );
     }
 
     #[test]

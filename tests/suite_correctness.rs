@@ -77,6 +77,13 @@ fn mm_all_modes_and_inputs() {
             assert_eq!(got, want, "{kind:?}/{mode}");
             mm::verify(n, &edges, &got).expect("valid matching");
         }
+        // `rpb verify` checks `mm` on link and road only; the timed
+        // `mm-rmat` pair gets its injected fault here: unmatching one
+        // edge leaves it addable, which `verify` must refuse.
+        let mut broken = want;
+        let matched = broken.iter().position(|&m| m).expect("a matched edge");
+        broken[matched] = false;
+        mm::verify(n, &edges, &broken).expect_err("an unmatched edge breaks maximality");
     }
 }
 
