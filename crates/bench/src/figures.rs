@@ -227,96 +227,54 @@ pub fn fig4(w: &Workloads, threads: usize, reps: usize) -> String {
     out
 }
 
-/// Fig. 5(a): overhead of the checked `par_ind_iter_mut` vs unsafe,
-/// bracketed into *fresh* (validation pool disabled — every validation
-/// allocates) and *amortized* (pooled mark bitmaps + validation proofs,
-/// the steady-state fast path) checked runs so the reproduction shows how
-/// close "comfortable" gets to zero-cost.
-///
-/// The brackets hold the algorithm fixed and vary only storage reuse:
-/// both run today's strategies (block-private or shared `u64` bitmap
-/// words, `Adaptive` selection), and fresh allocations are exact-size (the pool's
-/// power-of-two rounding is skipped while it is disabled). "Fresh" is
-/// therefore *this* code paying full allocation cost per check — not a
-/// bit-identical replay of the historical `u8` mark table, which differed
-/// in element width and strategy choice.
+/// Fig. 5(a): overhead of the checked `par_ind_iter_mut` vs unsafe. No
+/// checked arm of the three pairs validates at run time: `lrs` and `sa`
+/// scatter through the suffix sort's proofs and `bw`'s is a plain walk.
 pub fn fig5a(w: &Workloads, threads: usize, reps: usize) -> String {
-    use rpb_fearless::pool;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Fig. 5a: dynamic offset checking for SngInd (checked / unsafe)"
-    );
-    let _ = writeln!(
-        out,
-        "{:<10} {:>12} {:>12} {:>12} {:>8} {:>8}",
-        "pair", "unsafe", "chk-fresh", "chk-amort", "fresh", "amort"
-    );
-    for name in FIG5A_PAIRS {
-        let t_u = time_par(name, w, ExecMode::Unsafe, threads, reps);
-        // Fresh: disable (and drain) the pool so every validation pays the
-        // allocate-and-zero cost — exact-size, since the pool's rounding is
-        // skipped while disabled. Strategy selection is deliberately
-        // unaffected, so fresh vs amortized varies only storage reuse.
-        pool::set_enabled(false);
-        pool::clear();
-        let t_f = time_par(name, w, ExecMode::Checked, threads, reps);
-        // Amortized: the pooled fast path; time_best's warmup execution
-        // warms the pool, so the measured reps are all pool hits.
-        pool::set_enabled(true);
-        let t_a = time_par(name, w, ExecMode::Checked, threads, reps);
-        let _ = writeln!(
-            out,
-            "{:<10} {:>12.2?} {:>12.2?} {:>12.2?} {:>7.2}x {:>7.2}x",
-            name,
-            t_u,
-            t_f,
-            t_a,
-            t_f.div_duration_f64(t_u),
-            t_a.div_duration_f64(t_u)
-        );
-    }
-    let _ = writeln!(
-        out,
-        "(fresh = allocate-per-check, exact-size mark bitmaps, same strategy"
-    );
-    let _ = writeln!(
-        out,
-        " selection as amortized; paper: negligible for bw, up to ~2.8x for lrs/sa)"
-    );
-    out
+    overhead_table(
+        "Fig. 5a: dynamic offset checking for SngInd (checked / unsafe)",
+        &FIG5A_PAIRS,
+        ExecMode::Checked,
+        "(checked = producer proofs, no run-time check; \
+         paper: negligible for bw, up to ~2.8x for lrs/sa)",
+        |name, mode| time_par(name, w, mode, threads, reps),
+    )
 }
 
 /// Fig. 5(b): overhead of unnecessary synchronization vs unsafe.
 pub fn fig5b(w: &Workloads, threads: usize, reps: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Fig. 5b: unnecessary synchronization for SngInd and AW (sync / unsafe)"
-    );
+    overhead_table(
+        "Fig. 5b: unnecessary synchronization for SngInd and AW (sync / unsafe)",
+        &FIG5B_PAIRS,
+        ExecMode::Sync,
+        "(paper: ~1x for relaxed-atomic benchmarks, ~4x for hist's Mutex<large struct>)",
+        |name, mode| time_par(name, w, mode, threads, reps),
+    )
+}
+
+/// One row per pair: its time in `mode` against its time in `Unsafe`.
+fn overhead_table(
+    title: &str,
+    pairs: &[&str],
+    mode: ExecMode,
+    note: &str,
+    time: impl Fn(&str, ExecMode) -> Duration,
+) -> String {
+    let mut out = format!("{title}\n");
     let _ = writeln!(
         out,
         "{:<10} {:>12} {:>12} {:>9}",
-        "pair", "unsafe", "sync", "overhead"
+        "pair",
+        "unsafe",
+        mode.label(),
+        "overhead"
     );
-    for name in FIG5B_PAIRS {
-        let t_u = time_par(name, w, ExecMode::Unsafe, threads, reps);
-        let t_s = time_par(name, w, ExecMode::Sync, threads, reps);
-        let _ = writeln!(
-            out,
-            "{:<10} {:>12.2?} {:>12.2?} {:>8.2}x",
-            name,
-            t_u,
-            t_s,
-            t_s.div_duration_f64(t_u)
-        );
+    for &name in pairs {
+        let (t_u, t_m) = (time(name, ExecMode::Unsafe), time(name, mode));
+        let ratio = t_m.div_duration_f64(t_u);
+        let _ = writeln!(out, "{name:<10} {t_u:>12.2?} {t_m:>12.2?} {ratio:>8.2}x");
     }
-    let _ = writeln!(
-        out,
-        "(paper: ~1x for relaxed-atomic benchmarks, ~4x for hist's Mutex<large struct>)"
-    );
-    out
+    out + note + "\n"
 }
 
 /// Fig. 6: the Rayon-justification microbenchmark (Appendix A).
@@ -427,8 +385,8 @@ mod tests {
         let t2 = table2(&w);
         assert!(t2.contains("road"));
         let f5a = fig5a(&w, 2, 1);
-        // A header, a column line, one row per pair and two note lines.
-        assert_eq!(f5a.lines().count(), 4 + FIG5A_PAIRS.len(), "{f5a}");
+        // A header, a column line, one row per pair and a note line.
+        assert_eq!(f5a.lines().count(), 3 + FIG5A_PAIRS.len(), "{f5a}");
         for name in FIG5A_PAIRS {
             assert!(f5a.lines().any(|l| l.starts_with(name)), "{f5a}");
         }

@@ -16,26 +16,25 @@
 //! pass on a CI runner cannot.
 //!
 //! A baseline is one [`GateCase`] per row of the cell table ([`cells`]),
-//! in table order, and [`record`] runs every row under one bracket: put
-//! the mark-table pool into the row's starting state, run its warm-up,
-//! then capture the row's counted executions at [`COUNTER_THREADS`] — so
-//! no cell sees what the previous one left behind. Inputs are built at the
+//! in table order, and [`record`] runs every row under one bracket: empty
+//! the mark-table pool and zero its stats, run the row's warm-up, then
+//! capture the row's counted executions at [`COUNTER_THREADS`] — so no
+//! cell sees what the previous one left behind. Inputs are built at the
 //! pinned [`Scale::gate`]; baselines embed the scale and `check` refuses
 //! to compare across scales. Nothing else goes into a baseline, so
 //! recording twice writes the same bytes on any machine. The rows:
 //!
 //! * **Smoke** — every Fig. 4 pair in its recommended mode (which
-//!   includes the MultiQueue `bfs`/`sssp` pairs and `sort`'s RngInd
-//!   check), plus the SngInd-heavy trio (`bw`, `lrs`, `sa`) in checked
-//!   mode under both validation-cost brackets (`fresh` = pool disabled,
-//!   `amortized` = pool warmed outside the capture): every check
-//!   strategy and the pooled fast path.
+//!   includes the MultiQueue `bfs`/`sssp` pairs and `sort`'s checked
+//!   scatter), plus `bw`, `lrs` and `sa` checked. None validates at run
+//!   time (`sort`, `lrs`, `sa` reuse their producers' proofs, `bw`'s
+//!   checked arm is a plain walk), so a check that comes back is drift.
 //! * **`backend-*`** × {`rayon`, `mq`} — the four MultiQueue pairs.
 //! * **`serve-*`** × {`rayon`, `mq`} — the service's two pinned admission
 //!   traces (`rpb_serve::trace`), pumped inline on a 1-thread pool so
 //!   the serve counters are exact functions of the trace shape:
-//!   `serve-steady` pins the zero-allocation steady state
-//!   (`sngind_pool_misses` stays zero after the warm-up), `serve-burst`
+//!   `serve-steady` pins a steady stream's farm traffic (its `Checked`
+//!   jobs reuse proofs; no check or pool counter moves), `serve-burst`
 //!   that admission control sheds exactly the over-cap overflow.
 //! * **`pipeline-*`** × {`mpsc`, `crossbeam`} — the three streaming
 //!   skeletons of `rpb_suite::streaming` at a pinned chunk size, channel
@@ -78,7 +77,7 @@ use crate::workloads::Workloads;
 use crate::Scale;
 
 /// Schema tag of every baseline file the gate writes and reads.
-pub const BASELINE_SCHEMA: &str = "rpb-baseline-v2";
+pub const BASELINE_SCHEMA: &str = "rpb-baseline-v3";
 
 /// Worker-thread count of the counter pass. Pinned to 1: with a single
 /// worker every counter below is a deterministic function of the
@@ -162,9 +161,6 @@ pub struct GateCase {
     /// families carry the value of their axis (`"rayon"`/`"mq"`,
     /// `"mpsc"`/`"crossbeam"`) here instead.
     pub mode: String,
-    /// Validation-cost bracket for the checked SngInd cases
-    /// (`"fresh"` / `"amortized"`), `None` elsewhere.
-    pub check: Option<String>,
     /// `(counter, value)` for every [`HARD_COUNTERS`] entry, in that
     /// order, over the executions the cell's row counts (see [`cells`])
     /// on the 1-worker pool.
@@ -172,9 +168,9 @@ pub struct GateCase {
 }
 
 impl GateCase {
-    /// Stable identity of the matrix cell (`name/mode[+check]`).
+    /// Stable identity of the matrix cell (`name/mode`).
     pub fn key(&self) -> String {
-        cell_key(&self.name, &self.mode, self.check.as_deref())
+        format!("{}/{}", self.name, self.mode)
     }
 
     /// Value of a named hard counter (0 if absent).
@@ -226,15 +222,11 @@ impl Baseline {
                     self.cases
                         .iter()
                         .map(|c| {
-                            let mut fields = vec![
+                            Json::Obj(vec![
                                 ("name".into(), Json::Str(c.name.clone())),
                                 ("mode".into(), Json::Str(c.mode.clone())),
-                            ];
-                            if let Some(check) = &c.check {
-                                fields.push(("check".into(), Json::Str(check.clone())));
-                            }
-                            fields.push(("counters".into(), c.counters_json()));
-                            Json::Obj(fields)
+                                ("counters".into(), c.counters_json()),
+                            ])
                         })
                         .collect(),
                 ),
@@ -296,7 +288,6 @@ impl Baseline {
             cases.push(GateCase {
                 name: text("name")?,
                 mode: text("mode")?,
-                check: c.get("check").and_then(Json::as_str).map(String::from),
                 counters,
             });
         }
@@ -312,9 +303,6 @@ pub struct Cell<'a> {
     /// The cell's `mode` field: the exec mode, or the label of the axis
     /// the row's family varies.
     pub mode: &'static str,
-    /// Validation-cost bracket: `"fresh"` runs with the mark-table pool
-    /// disabled; `"amortized"` rows carry the `warm` that fills it.
-    pub check: Option<&'static str>,
     /// Runs after the pool is prepared and before the capture.
     warm: Option<Box<dyn Fn() + 'a>>,
     /// The executions the capture counts, on [`COUNTER_THREADS`] workers.
@@ -328,30 +316,25 @@ impl<'a> Cell<'a> {
         Cell {
             name: name.into(),
             mode,
-            check: None,
             warm: None,
             run: Box::new(run),
         }
     }
 
-    /// Stable identity of the cell (`name/mode[+check]`).
+    /// Stable identity of the cell (`name/mode`).
     pub fn key(&self) -> String {
-        cell_key(&self.name, self.mode, self.check)
+        format!("{}/{}", self.name, self.mode)
     }
 
     /// The counter pass: puts the global mark-table pool into the row's
-    /// deterministic starting state — empty, stats zeroed, enabled unless
-    /// the row is a `fresh` bracket — runs the row's warm-up, and returns
-    /// `(counter, value)` for every [`HARD_COUNTERS`] entry, in that order,
-    /// over the row's counted executions. Without the pool reset, a cell's
-    /// hit/miss counters would depend on which cells ran before it.
+    /// deterministic starting state — empty, stats zeroed — runs the
+    /// row's warm-up, and returns `(counter, value)` for every
+    /// [`HARD_COUNTERS`] entry, in that order, over the row's counted
+    /// executions. Without the pool reset, a cell's hit/miss counters
+    /// would depend on which cells ran before it.
     fn count(&self) -> Vec<(String, u64)> {
-        pool::set_enabled(true);
         pool::clear();
         pool::reset_stats();
-        if self.check == Some("fresh") {
-            pool::set_enabled(false);
-        }
         if let Some(warm) = &self.warm {
             warm();
         }
@@ -360,13 +343,6 @@ impl<'a> Cell<'a> {
             .iter()
             .map(|&n| (n.to_string(), snap.counter(n)))
             .collect()
-    }
-}
-
-fn cell_key(name: &str, mode: &str, check: Option<&str>) -> String {
-    match check {
-        Some(c) => format!("{name}/{mode}+{c}"),
-        None => format!("{name}/{mode}"),
     }
 }
 
@@ -452,19 +428,8 @@ pub fn cells<'a>(w: &'a Workloads, serve: &'a Arc<ServeDatasets>) -> Vec<Cell<'a
         ));
     }
     for name in FIG5A_PAIRS {
-        let mode = ExecMode::Checked;
-        let run = suite_pair(w, name, mode, ambient);
-        cells.push(Cell {
-            check: Some("fresh"),
-            ..Cell::new(name, mode.label(), run)
-        });
-        cells.push(Cell {
-            check: Some("amortized"),
-            // Fill the pool (and the proof paths) outside the capture so
-            // the counted executions are all steady-state hits.
-            warm: Some(Box::new(run)),
-            ..Cell::new(name, mode.label(), run)
-        });
+        let run = suite_pair(w, name, ExecMode::Checked, ambient);
+        cells.push(Cell::new(name, ExecMode::Checked.label(), run));
     }
     for name in BACKEND_PAIRS {
         for backend in ALL_BACKENDS {
@@ -472,9 +437,8 @@ pub fn cells<'a>(w: &'a Workloads, serve: &'a Arc<ServeDatasets>) -> Vec<Cell<'a
             cells.push(Cell::new(format!("backend-{name}"), backend.label(), run));
         }
     }
-    // Serve rows gate admission arithmetic and the steady-state
-    // zero-allocation property of the pinned 1-thread trace shape, not
-    // service throughput.
+    // Serve rows gate the admission arithmetic and farm traffic of the
+    // pinned 1-thread trace shape, not service throughput.
     for (name, trace) in SERVE_TRACES {
         for backend in ALL_BACKENDS {
             let cfg = TraceConfig::gate(backend);
@@ -517,10 +481,8 @@ pub fn record(w: &Workloads) -> Baseline {
             counters: cell.count(),
             name: cell.name,
             mode: cell.mode.to_string(),
-            check: cell.check.map(String::from),
         });
     }
-    pool::set_enabled(true);
     Baseline {
         scale: w.scale,
         cases,
@@ -544,7 +506,7 @@ pub enum Severity {
 /// One metric that drifted between baseline and current run.
 #[derive(Clone, Debug)]
 pub struct Violation {
-    /// Matrix-cell key (`name/mode[+check]`), or `"<baseline>"` for
+    /// Matrix-cell key (`name/mode`), or `"<baseline>"` for
     /// structural mismatches.
     pub case: String,
     /// Metric name.
@@ -649,7 +611,7 @@ pub fn compare(base: &Baseline, cur: &Baseline) -> Comparison {
         let Some(cc) = cur
             .cases
             .iter()
-            .find(|c| c.name == bc.name && c.mode == bc.mode && c.check == bc.check)
+            .find(|c| c.name == bc.name && c.mode == bc.mode)
         else {
             push(
                 bc.key(),
@@ -686,7 +648,7 @@ pub fn compare(base: &Baseline, cur: &Baseline) -> Comparison {
         let known = base
             .cases
             .iter()
-            .any(|b| b.name == cc.name && b.mode == cc.mode && b.check == cc.check);
+            .any(|b| b.name == cc.name && b.mode == cc.mode);
         if !known {
             push(
                 cc.key(),
@@ -897,13 +859,11 @@ mod tests {
                 GateCase {
                     name: "bw".into(),
                     mode: "unsafe".into(),
-                    check: None,
                     counters: vec![("sngind_pool_hits".into(), 4), ("mq_pushes".into(), 0)],
                 },
                 GateCase {
                     name: "bw".into(),
                     mode: "checked".into(),
-                    check: Some("amortized".into()),
                     counters: vec![("sngind_pool_hits".into(), 9)],
                 },
             ],
@@ -929,10 +889,12 @@ mod tests {
             .expect_err("unknown schema");
         assert!(err.contains("rpb-baseline-v9"));
         assert!(Baseline::parse(&Json::parse("{}").unwrap()).is_err());
-        // A v1 baseline (wall-clock brackets, provenance) reads as "re-record".
-        let err = Baseline::parse(&Json::parse("{\"schema\":\"rpb-baseline-v1\"}").unwrap())
-            .expect_err("v1 is not v2");
-        assert!(err.contains("re-record"), "{err}");
+        // v1 (wall-clock brackets) and v2 (check brackets) read as "re-record".
+        for old in ["v1", "v2"] {
+            let doc = format!("{{\"schema\":\"rpb-baseline-{old}\"}}");
+            let err = Baseline::parse(&Json::parse(&doc).unwrap()).expect_err(old);
+            assert!(err.contains("re-record"), "{err}");
+        }
     }
 
     #[test]
@@ -942,7 +904,7 @@ mod tests {
         assert!(cmp.violations.is_empty(), "{:?}", cmp.violations);
         assert_eq!(cmp.exit_code(), EXIT_OK);
         assert!(cmp.table.contains("bw/unsafe"));
-        assert!(cmp.table.contains("bw/checked+amortized"));
+        assert!(cmp.table.contains("bw/checked"));
     }
 
     #[test]
@@ -972,7 +934,7 @@ mod tests {
         assert_eq!(cmp.exit_code(), EXIT_USAGE);
         assert!(cmp.table.contains("MISSING"));
         // The offending cell is named, both in the listing and the diff.
-        assert_eq!(cmp.schema_cells(), vec!["bw/checked+amortized"]);
+        assert_eq!(cmp.schema_cells(), vec!["bw/checked"]);
         assert!(render_violations(&cmp).contains("SCHEMA"));
 
         let mut cur = base.clone();
@@ -983,7 +945,7 @@ mod tests {
         assert!(cmp.has_schema());
         assert_eq!(cmp.exit_code(), EXIT_USAGE);
         assert!(cmp.table.contains("NEW CASE"));
-        assert_eq!(cmp.schema_cells(), vec!["zz-new/checked+amortized"]);
+        assert_eq!(cmp.schema_cells(), vec!["zz-new/checked"]);
     }
 
     #[test]
@@ -1050,8 +1012,8 @@ mod tests {
 
     #[test]
     fn cell_table_lists_the_documented_rows_in_order() {
-        // The 20 pairs in Fig. 4 order and recommended mode, 2 brackets
-        // for each of the 3 SngInd-heavy pairs, then the axis families:
+        // The 20 pairs in Fig. 4 order and recommended mode, the 3
+        // SngInd-heavy pairs checked, then the axis families:
         // every name under every value of its axis, in listing order.
         let mut want: Vec<String> = ALL_PAIRS
             .iter()
@@ -1061,10 +1023,7 @@ mod tests {
             [&want[0], &want[12], &want[16]],
             ["bw/unsafe", "sort/checked", "bfs-road/sync"]
         );
-        for name in FIG5A_PAIRS {
-            want.push(format!("{name}/checked+fresh"));
-            want.push(format!("{name}/checked+amortized"));
-        }
+        want.extend(FIG5A_PAIRS.map(|name| format!("{name}/checked")));
         for (family, axis, names) in [
             (
                 "backend",
@@ -1081,7 +1040,7 @@ mod tests {
         with_tiny_cells(|cells| {
             let keys: Vec<String> = cells.iter().map(Cell::key).collect();
             assert_eq!(keys, want);
-            assert_eq!(keys.len(), 44);
+            assert_eq!(keys.len(), 41);
         });
     }
 
@@ -1092,7 +1051,7 @@ mod tests {
         // hard counter present, in gate order — end to end through
         // warm-up, capture and every family's kind of work.
         with_tiny_cells(|cells| {
-            for cell in &cells[ALL_PAIRS.len() + 2 * FIG5A_PAIRS.len()..] {
+            for cell in &cells[ALL_PAIRS.len() + FIG5A_PAIRS.len()..] {
                 let counters = cell.count();
                 let names: Vec<&str> = counters.iter().map(|(n, _)| n.as_str()).collect();
                 assert_eq!(names, HARD_COUNTERS, "{}", cell.key());

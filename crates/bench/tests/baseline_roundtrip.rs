@@ -1,4 +1,4 @@
-//! Round-trip property test for the `rpb-baseline-v2` schema: any
+//! Round-trip property test for the `rpb-baseline-v3` schema: any
 //! recordable baseline serializes to JSON text, parses back, and compares
 //! equal.
 //!
@@ -41,9 +41,6 @@ fn gate_case(g: &mut Gen) -> GateCase {
     GateCase {
         name,
         mode: g.pick(&["unsafe", "checked", "sync"]).to_string(),
-        check: g
-            .pick(&[None, Some("fresh"), Some("amortized")])
-            .map(str::to_string),
         counters: g.vec(0..6, |g| {
             (g.pick(&COUNTER_NAMES).to_string(), g.in_range(0..MAX_EXACT))
         }),
@@ -57,7 +54,7 @@ fn baseline(g: &mut Gen) -> Baseline {
         graph_n: g.in_range(1..10_000) as usize,
         points_n: g.in_range(1..10_000) as usize,
     };
-    // One cell per (name, mode, check) key: `compare` matches
+    // One cell per (name, mode) key: `compare` matches
     // cases by key, so duplicate keys are not a valid matrix.
     let mut seen = std::collections::HashSet::new();
     let cases = g

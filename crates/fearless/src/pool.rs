@@ -70,8 +70,7 @@ static POOL_HITS: AtomicU64 = AtomicU64::new(0);
 static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// When false, every acquisition allocates and every release frees —
-/// the pre-pool allocate-per-call behaviour. The bench harness flips this
-/// to measure the *fresh* check cost against the *amortized* one.
+/// the pre-pool allocate-per-call behaviour, which `rpb-perf` times.
 static POOL_ENABLED: AtomicBool = AtomicBool::new(true);
 
 static POOL: Mutex<Vec<Box<[AtomicU64]>>> = Mutex::new(Vec::new());
@@ -84,34 +83,33 @@ pub fn stats() -> PoolStats {
     }
 }
 
-/// Zeroes the always-on pool statistics (tests and bench brackets).
+/// Zeroes the always-on pool statistics (tests and the perf gate).
 pub fn reset_stats() {
     POOL_HITS.store(0, Ordering::Relaxed);
     POOL_MISSES.store(0, Ordering::Relaxed);
 }
 
 /// Enables or disables pooling globally. Disabled, every check allocates
-/// per call — the baseline the pooled fast path is measured against.
-/// Strategy selection is unaffected (so fresh-vs-amortized comparisons
-/// hold the algorithm fixed and vary only the storage reuse).
+/// per call; strategy selection is unaffected, so the two differ only in
+/// storage reuse.
 pub fn set_enabled(enabled: bool) {
     POOL_ENABLED.store(enabled, Ordering::Relaxed);
 }
 
 /// True when acquisitions may be served from (and returned to) the pool.
-pub fn is_enabled() -> bool {
+fn is_enabled() -> bool {
     POOL_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Drops every pooled buffer (tests and fresh-cost measurement).
+/// Drops every pooled buffer (tests and the perf gate's cell reset).
 pub fn clear() {
     POOL.lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
 /// True when a request for `words` words is small enough for the pool —
 /// the signal `UniquenessCheck::Adaptive` uses. Deliberately independent
-/// of [`set_enabled`] so disabling the pool (for fresh-cost measurement)
-/// does not also change the chosen strategy.
+/// of [`set_enabled`] so disabling the pool does not also change the
+/// chosen strategy.
 pub fn serves(words: usize) -> bool {
     words <= MAX_POOLED_WORDS
 }
@@ -188,10 +186,9 @@ pub fn acquire_words(words: usize) -> WordsGuard {
         }
         None => {
             // Round pool-bound requests up so a handful of buffers serves
-            // many distinct sizes. Oversized requests — and *all* requests
-            // while the pool is disabled (the bench's fresh-cost baseline,
-            // where rounding would overstate the allocate-per-call cost by
-            // up to 2×) — allocate exactly.
+            // many distinct sizes. Oversized requests — and all requests
+            // while the pool is disabled, whose allocate-per-call cost
+            // rounding would overstate by up to 2× — allocate exactly.
             let cap = if pooled && is_enabled() {
                 words.next_power_of_two()
             } else {

@@ -76,21 +76,12 @@ pub fn greedy_mis(g: &Graph, priority: &[u64]) -> Vec<bool> {
 pub fn kruskal(n: usize, edges: &[(u32, u32, u32)]) -> (Vec<usize>, u64) {
     let mut idx: Vec<usize> = (0..edges.len()).collect();
     idx.sort_by_key(|&i| (edges[i].2, i));
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(p: &mut [usize], mut x: usize) -> usize {
-        while p[x] != x {
-            p[x] = p[p[x]];
-            x = p[x];
-        }
-        x
-    }
+    let mut uf = UnionFind::new(n);
     let mut chosen = Vec::new();
     let mut total = 0u64;
     for i in idx {
         let (u, v, w) = edges[i];
-        let (ru, rv) = (find(&mut parent, u as usize), find(&mut parent, v as usize));
-        if ru != rv {
-            parent[ru] = rv;
+        if uf.union(u as usize, v as usize) {
             chosen.push(i);
             total += w as u64;
         }
@@ -101,23 +92,51 @@ pub fn kruskal(n: usize, edges: &[(u32, u32, u32)]) -> (Vec<usize>, u64) {
 /// Number of connected components (sequential union-find).
 pub fn num_components(g: &Graph) -> usize {
     let n = g.num_vertices();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(p: &mut [usize], mut x: usize) -> usize {
+    let mut uf = UnionFind::new(n);
+    for u in 0..n {
+        for &v in g.neighbors(u) {
+            uf.union(u, v as usize);
+        }
+    }
+    uf.roots()
+}
+
+/// Sequential union-find over `0..n` with path halving. The `sf` and
+/// `msf` baselines of Fig. 4 call it across crates and the workspace
+/// builds without LTO, hence the `#[inline]`s.
+pub struct UnionFind(Vec<usize>);
+
+impl UnionFind {
+    /// `n` singleton sets.
+    pub fn new(n: usize) -> UnionFind {
+        UnionFind((0..n).collect())
+    }
+
+    /// The root of `x`'s set.
+    #[inline]
+    fn find(&mut self, mut x: usize) -> usize {
+        let p = self.0.as_mut_slice();
         while p[x] != x {
             p[x] = p[p[x]];
             x = p[x];
         }
         x
     }
-    for u in 0..n {
-        for &v in g.neighbors(u) {
-            let (ru, rv) = (find(&mut parent, u), find(&mut parent, v as usize));
-            if ru != rv {
-                parent[ru] = rv;
-            }
+
+    /// Links `u`'s root under `v`'s; false when they already share one.
+    #[inline]
+    pub fn union(&mut self, u: usize, v: usize) -> bool {
+        let (ru, rv) = (self.find(u), self.find(v));
+        if ru != rv {
+            self.0[ru] = rv;
         }
+        ru != rv
     }
-    (0..n).filter(|&x| find(&mut parent, x) == x).count()
+
+    /// The number of sets.
+    pub fn roots(&mut self) -> usize {
+        (0..self.0.len()).filter(|&x| self.find(x) == x).count()
+    }
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@ use rayon::prelude::*;
 
 use rpb_concurrent::ConcurrentUnionFind;
 use rpb_fearless::ExecMode;
+use rpb_graph::seq::UnionFind;
 
 use crate::error::SuiteError;
 
@@ -27,19 +28,10 @@ pub fn run_par(n: usize, edges: &[(u32, u32)], _mode: ExecMode) -> Vec<usize> {
 
 /// Sequential baseline.
 pub fn run_seq(n: usize, edges: &[(u32, u32)]) -> Vec<usize> {
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(p: &mut [usize], mut x: usize) -> usize {
-        while p[x] != x {
-            p[x] = p[p[x]];
-            x = p[x];
-        }
-        x
-    }
+    let mut uf = UnionFind::new(n);
     let mut out = Vec::new();
     for (i, &(u, v)) in edges.iter().enumerate() {
-        let (ru, rv) = (find(&mut parent, u as usize), find(&mut parent, v as usize));
-        if ru != rv {
-            parent[ru] = rv;
+        if uf.union(u as usize, v as usize) {
             out.push(i);
         }
     }
@@ -53,14 +45,7 @@ pub fn run_seq(n: usize, edges: &[(u32, u32)]) -> Vec<usize> {
 /// size must merge exactly the components the full graph merges, so two
 /// valid forests always span the same vertex partition.
 pub fn verify(n: usize, edges: &[(u32, u32)], forest: &[usize]) -> Result<(), SuiteError> {
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(p: &mut [usize], mut x: usize) -> usize {
-        while p[x] != x {
-            p[x] = p[p[x]];
-            x = p[x];
-        }
-        x
-    }
+    let mut uf = UnionFind::new(n);
     for &i in forest {
         if i >= edges.len() {
             return Err(SuiteError::invariant(
@@ -69,14 +54,12 @@ pub fn verify(n: usize, edges: &[(u32, u32)], forest: &[usize]) -> Result<(), Su
             ));
         }
         let (u, v) = edges[i];
-        let (ru, rv) = (find(&mut parent, u as usize), find(&mut parent, v as usize));
-        if ru == rv {
+        if !uf.union(u as usize, v as usize) {
             return Err(SuiteError::invariant(
                 "sf",
                 format!("forest edge {i} creates a cycle"),
             ));
         }
-        parent[ru] = rv;
     }
     let expected = n - components(n, edges);
     if forest.len() != expected {
@@ -89,21 +72,11 @@ pub fn verify(n: usize, edges: &[(u32, u32)], forest: &[usize]) -> Result<(), Su
 }
 
 fn components(n: usize, edges: &[(u32, u32)]) -> usize {
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(p: &mut [usize], mut x: usize) -> usize {
-        while p[x] != x {
-            p[x] = p[p[x]];
-            x = p[x];
-        }
-        x
-    }
+    let mut uf = UnionFind::new(n);
     for &(u, v) in edges {
-        let (ru, rv) = (find(&mut parent, u as usize), find(&mut parent, v as usize));
-        if ru != rv {
-            parent[ru] = rv;
-        }
+        uf.union(u as usize, v as usize);
     }
-    (0..n).filter(|&x| find(&mut parent, x) == x).count()
+    uf.roots()
 }
 
 #[cfg(test)]

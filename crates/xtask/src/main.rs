@@ -626,3 +626,94 @@ unsafe fn free_it<'a>(
         assert!(sites.iter().all(|s| s.documented));
     }
 }
+
+/// Every quoted section name that a document or a comment cites in
+/// EXPERIMENTS.md must name one of its headings.
+#[cfg(test)]
+mod citations {
+    use std::path::{Path, PathBuf};
+
+    const TARGET: &str = "EXPERIMENTS.md";
+
+    /// The quoted section names cited in `text`, its lines joined without
+    /// their comment markers (`//!`, `///`, `#`) so a wrapped citation
+    /// reads whole: the text in the first pair of quotes after the file
+    /// name, when one to eight connecting characters (`, `, `'s `, ` (`,
+    /// ` gains `) stand between them. A Rust string's `\"` counts as a
+    /// quote; the file name as a string of its own cites nothing.
+    fn cited_sections(text: &str) -> Vec<String> {
+        let prose: Vec<&str> = text
+            .lines()
+            .map(|l| l.trim_start().trim_start_matches(['/', '!', '#']).trim())
+            .collect();
+        let prose = prose.join(" ");
+        let mut out = Vec::new();
+        for (at, _) in prose.match_indices(TARGET) {
+            let rest = &prose[at + TARGET.len()..];
+            let Some(open) = rest.find('"') else { continue };
+            let gap = &rest[..open];
+            if gap.is_empty() || gap.len() > 8 || gap.contains(['.', ')', ';', ':']) {
+                continue;
+            }
+            let quoted = &rest[open + 1..];
+            let Some(close) = quoted.find('"') else {
+                continue;
+            };
+            out.push(quoted[..close].trim_end_matches('\\').trim().to_string());
+        }
+        out
+    }
+
+    /// A citation resolves to a heading outside code fences, or to its
+    /// start up to a word boundary ("Perf gating methodology" cites
+    /// "Perf gating methodology (`rpb gate`)").
+    fn resolves(cited: &str, markdown: &str) -> bool {
+        let mut fenced = false;
+        markdown
+            .lines()
+            .filter(|l| {
+                fenced ^= l.starts_with("```");
+                !fenced && l.starts_with('#')
+            })
+            .map(|l| l.trim_start_matches('#').trim())
+            .filter_map(|h| h.strip_prefix(cited))
+            .any(|tail| !tail.starts_with(char::is_alphanumeric))
+    }
+
+    #[test]
+    fn citations_are_found_in_every_connecting_form_and_resolve_by_prefix() {
+        let text = format!(
+            "See {TARGET} \"A b\", {TARGET}, \"C\" and {TARGET}'s \"D\";\n\
+             /// {TARGET} (\"E\n/// f\"), {TARGET} gains \"G\" but {TARGET}. \"H\"\n\
+             x {TARGET}, \\\"I\\\"). let p = \"{TARGET}\"; \"J\""
+        );
+        assert_eq!(cited_sections(&text), ["A b", "C", "D", "E f", "G", "I"]);
+        let md = "# Top\n## Perf gating methodology (`rpb gate`)\n### MultiQueue: a run\n\
+                  ```bash\n# Raw-speed\n```\n";
+        let cited = ["Perf gating methodology", "MultiQueue", "MultiQueue: a run"];
+        assert!(cited.iter().all(|c| resolves(c, md)));
+        assert!(!resolves("Perf gating method", md) && !resolves("Raw-speed", md));
+    }
+
+    #[test]
+    fn every_experiments_citation_names_a_heading() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |p: &Path| std::fs::read_to_string(p).expect("a scanned file reads");
+        let experiments = read(&root.join(TARGET));
+        let docs = "README.md DESIGN.md ROADMAP.md CHANGES.md baselines/README.md";
+        let docs = docs.split(' ').chain([".github/workflows/ci.yml"]);
+        let mut files: Vec<PathBuf> = docs.map(|f| root.join(f)).collect();
+        super::collect_rs_files(&root.join("crates"), &mut files);
+        let cited: Vec<(PathBuf, String)> = files
+            .iter()
+            .flat_map(|p| cited_sections(&read(p)).into_iter().map(|c| (p.clone(), c)))
+            .collect();
+        assert!(cited.len() > 10, "a blind scan: {} citations", cited.len());
+        let broken: Vec<String> = cited
+            .iter()
+            .filter(|(_, c)| !resolves(c, &experiments))
+            .map(|(p, c)| format!("{}: \"{c}\"", p.strip_prefix(&root).unwrap_or(p).display()))
+            .collect();
+        assert!(broken.is_empty(), "unresolved:\n  {}", broken.join("\n  "));
+    }
+}
