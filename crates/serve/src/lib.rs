@@ -4,12 +4,11 @@
 //! times one batch, and exits, this crate keeps the datasets and executor
 //! pools alive and answers a stream of benchmark jobs over a socket — the
 //! steady-state regime the paper's amortized-validation claims are about.
-//! After the first request of a given shape, a `Checked`-mode job
-//! allocates no validation table (`sngind_pool_misses` stays flat — the
-//! `serve-*` perf-gate cells and `rpb serve --self-test` both hard-check
-//! that delta). The built-in jobs go further: `isort` and `sort` scatter
-//! through the proofs their counting pass issues, so they validate
-//! nothing at all.
+//! The built-in `Checked`-mode jobs validate nothing at run time: `isort`
+//! and `sort` scatter through the proofs their counting pass issues, so
+//! the validation pool sees neither a hit nor a miss (the `serve-*`
+//! perf-gate cells hard-check both counters, and `rpb serve --self-test`
+//! checks that they stay flat across its steady phase).
 //!
 //! Layers, bottom up:
 //!

@@ -4,9 +4,10 @@
 //!
 //! The self-test boots a real server on an ephemeral loopback port and
 //! drives it through the full contract: paced warmup, a steady phase that
-//! must complete with **zero** validation-pool misses (the resident
-//! zero-allocation claim, asserted through the pool counters) and one
-//! latency sample per job on its endpoint, an over-admission burst that
+//! must run no run-time validation at all (the built-in jobs scatter
+//! through producer proofs, so the validation pool's hits and misses both
+//! stay flat) and record one latency sample per job on its endpoint, an
+//! over-admission burst that
 //! must *shed* — typed responses, never a hang or an unbounded backlog —
 //! a malformed-frame probe the connection must survive, and a clean drain
 //! whose final accounting balances.
@@ -273,12 +274,11 @@ impl SelfTestReport {
     }
 }
 
-fn pool_misses(stats: &Json) -> u64 {
-    stats
-        .get("pool")
-        .and_then(|p| p.get("misses"))
-        .and_then(Json::as_u64)
-        .unwrap_or(u64::MAX)
+/// The validation pool's `(hits, misses)` in a `stats` body, if it has
+/// both: a marking validation counts one of them.
+fn pool_traffic(stats: &Json) -> Option<(u64, u64)> {
+    let count = |key| stats.get("pool")?.get(key)?.as_u64();
+    Some((count("hits")?, count("misses")?))
 }
 
 /// The latency sample count of every endpoint in a `stats` body, in
@@ -330,22 +330,25 @@ pub fn self_test(backend: BackendKind, scale: Scale) -> Result<SelfTestReport, S
     );
 
     // Steady phase: paced traffic must neither shed nor error, and must
-    // not allocate a single validation table — misses stay flat across
-    // the phase.
+    // not validate at run time — the `Checked` jobs scatter through the
+    // proofs of their counting pass, so the validation pool, which every
+    // marking check draws on, sees neither a hit nor a miss across the
+    // phase. (`stats` reports no sort-strategy checks; the pinned steady
+    // trace's unit test counts every validated offset.)
     const STEADY: usize = 18;
     let before = client.stats()?;
     let steady = run_paced(&mut client, STEADY)?;
     let after = client.stats()?;
-    let (misses_before, misses_after) = (pool_misses(&before), pool_misses(&after));
+    let (pool_before, pool_after) = (pool_traffic(&before), pool_traffic(&after));
     report.check(
         "steady_all_ok",
         steady.ok == STEADY as u64 && steady.shed == 0 && steady.errors == 0,
         format!("{steady:?}"),
     );
     report.check(
-        "steady_zero_pool_misses",
-        misses_after == misses_before && misses_before != u64::MAX,
-        format!("misses {misses_before} -> {misses_after}"),
+        "steady_no_run_time_validation",
+        pool_before.is_some() && pool_after == pool_before,
+        format!("pool (hits, misses) {pool_before:?} -> {pool_after:?}"),
     );
     // Every steady job is one sample of its endpoint's latency histogram,
     // the one `stats` reads its quantiles from.

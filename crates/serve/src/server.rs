@@ -346,9 +346,9 @@ fn submit_job(shared: &Shared, out: &WriteHalf, id: u64, kind: JobKind, mode: Ex
 }
 
 /// The `stats` endpoint's body: farm admission counters, the
-/// validation-pool counters (the zero-alloc evidence), and per-endpoint
-/// SLO latency quantiles from the process-global `rpb-obs` histograms
-/// (one sample per completed job of that kind).
+/// validation-pool counters (flat while no job validates at run time),
+/// and per-endpoint SLO latency quantiles from the process-global
+/// `rpb-obs` histograms (one sample per completed job of that kind).
 fn stats_json(shared: &Shared) -> Json {
     let f = shared.farm.stats();
     let cfg = shared.farm.config();

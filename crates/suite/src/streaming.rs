@@ -9,10 +9,11 @@
 //!   (histogram merging is associative and commutative, so farm arrival
 //!   order is invisible),
 //! * [`dedup_stream`] — each chunk counting-sorted into order-preserving
-//!   value buckets, appended bucket by bucket at the sink; after the
-//!   stream each bucket is reduced to its sorted distinct values in
-//!   parallel (a presence bitmap over a dense bucket, a sort over any
-//!   other) and the buckets are concatenated in bucket order,
+//!   value buckets, folded bucket by bucket at the sink: a bucket holds
+//!   its values until its span fits in one bitmap word per value, then
+//!   sets a presence bit per value. After the stream every bucket writes
+//!   its sorted distinct values straight into its own range of the
+//!   output, in parallel,
 //! * [`bfs_stream`] — level-synchronous BFS with pipelined frontier
 //!   generation: one pipeline per traversal, resident across levels (the
 //!   sink feeds each next frontier back to the source), expands frontier
@@ -26,7 +27,10 @@
 //! also returns its [`PipelineStats`], whose
 //! [`inflight_bounded`](PipelineStats::inflight_bounded) claim (high-water
 //! mark ≤ channel capacity × channels) the verifier asserts per cell:
-//! streaming is only worth its name if memory stays bounded.
+//! streaming is only worth its name if memory stays bounded. The sinks
+//! hold state of their own, outside that bound: `hist` its counts, `bfs`
+//! the next frontier, and `dedup` at most one word per value it has
+//! received, a dense bucket no more than its span's bitmap.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -142,17 +146,22 @@ pub fn hist_stream(
 
 /// Streaming dedup: the farm counting-sorts each chunk into 1 040
 /// order-preserving buckets (a value's bit length, then the four bits
-/// below its leading one), the sink appends each bucket's run to that
-/// bucket, and once the stream has ended each bucket is reduced to its
-/// sorted distinct values in parallel on the ambient pool and the buckets
-/// are concatenated in bucket order. A bucket whose value span fits in one
-/// 64-bit word per value it holds is read out of a presence bitmap; any
-/// other is sorted and deduplicated. The buckets preserve order, so the
-/// concatenation is the distinct values sorted ascending, exactly like the
+/// below its leading one) and the sink folds each bucket's run into that
+/// bucket: a bucket holds its values until its value span fits in one
+/// 64-bit word per value received, then sets one bit of a presence bitmap
+/// per value instead. Once the stream has ended, each bucket counts its
+/// distinct values (a held one sorts and deduplicates first), a scan of
+/// the counts carves the output into one range per bucket with
+/// `split_at_mut`, and every bucket writes its values ascending into its
+/// range in parallel on the ambient pool. The buckets preserve order, so
+/// the output is the distinct values sorted ascending, exactly like the
 /// batch variants.
 ///
-/// The sink holds every value until the end (at most the input's length):
-/// a value repeated across chunks is only dropped by the final pass.
+/// The sink holds at most one word per value it has received (spare `Vec`
+/// capacity aside), and a dense bucket no more than its span's bitmap,
+/// however many values arrive: on an input of `n` values below `n`, the
+/// bitmaps take at most about `n / 32` words (19 536 for 1.6 M
+/// `exponential` values).
 pub fn dedup_stream(
     data: &[u64],
     cfg: StreamConfig,
@@ -165,47 +174,124 @@ pub fn dedup_stream(
                     bucket_chunk(&chunk)
                 })
             })
-            .and_then(|p| {
-                p.run_fold(
-                    vec![Vec::new(); DEDUP_BUCKETS],
-                    |mut acc: Vec<Vec<u64>>, (values, runs)| {
-                        let mut start = 0;
-                        for (bucket, end) in runs {
-                            acc[bucket].extend_from_slice(&values[start..end]);
-                            start = end;
-                        }
-                        acc
-                    },
-                )
-            })
+            .and_then(|p| p.run_fold(Bucket::sink(), fold_chunk))
             .map_err(|e| stream_error("dedup", e))?;
-    buckets.par_iter_mut().for_each(sorted_distinct);
-    Ok((rpb_parlay::flatten(&buckets), stats))
+    let counts: Vec<usize> = buckets.par_iter_mut().map(Bucket::distinct).collect();
+    let mut out = vec![0; counts.iter().sum()];
+    let mut ranges: Vec<&mut [u64]> = Vec::with_capacity(DEDUP_BUCKETS);
+    let mut rest = out.as_mut_slice();
+    for &n in &counts {
+        let (head, tail) = rest.split_at_mut(n);
+        ranges.push(head);
+        rest = tail;
+    }
+    buckets
+        .par_iter()
+        .zip(ranges)
+        .for_each(|(bucket, range)| bucket.write(range));
+    Ok((out, stats))
 }
 
-/// Replaces the values of one [`dedup_bucket`] with its distinct values in
-/// ascending order: read out of a presence bitmap where [`bitmap_span`]
-/// allows one, sorted and deduplicated otherwise.
-fn sorted_distinct(bucket: &mut Vec<u64>) {
-    let Some((base, words)) = bucket.first().and_then(|&x| bitmap_span(x, bucket.len())) else {
-        bucket.sort_unstable();
-        bucket.dedup();
-        return;
-    };
-    let mut present = vec![0u64; words];
-    for &x in bucket.iter() {
+/// The sink step of [`dedup_stream`]: folds each run of a
+/// [`bucket_chunk`] into its bucket.
+fn fold_chunk(
+    mut buckets: Vec<Bucket>,
+    (values, runs): (Vec<u64>, Vec<(usize, usize)>),
+) -> Vec<Bucket> {
+    let mut start = 0;
+    for (bucket, end) in runs {
+        buckets[bucket].add(&values[start..end]);
+        start = end;
+    }
+    buckets
+}
+
+/// One [`dedup_bucket`] as the sink of [`dedup_stream`] keeps it.
+#[derive(Debug)]
+enum Bucket {
+    /// The values received so far, while [`bitmap_span`] admits no bitmap
+    /// over them; after [`Bucket::distinct`], its distinct values ascending.
+    Held(Vec<u64>),
+    /// The presence bitmap of the bucket's span from `base`: bit `i` of
+    /// word `w` is set iff `base + 64 w + i` was received.
+    Bitmap { base: u64, present: Vec<u64> },
+}
+
+impl Bucket {
+    /// The sink's state before the first chunk: every bucket held and
+    /// empty.
+    fn sink() -> Vec<Bucket> {
+        (0..DEDUP_BUCKETS)
+            .map(|_| Bucket::Held(Vec::new()))
+            .collect()
+    }
+
+    /// Folds in `run`, values of this bucket. A held bucket converts on the
+    /// run that brings the values it has received up to its span's words:
+    /// it sets the bits of those values and frees them.
+    fn add(&mut self, run: &[u64]) {
+        match self {
+            Bucket::Held(held) => {
+                let span = run
+                    .first()
+                    .and_then(|&x| bitmap_span(x, held.len() + run.len()));
+                let Some((base, words)) = span else {
+                    held.extend_from_slice(run);
+                    return;
+                };
+                let mut present = vec![0u64; words];
+                set_bits(&mut present, base, held);
+                set_bits(&mut present, base, run);
+                *self = Bucket::Bitmap { base, present };
+            }
+            Bucket::Bitmap { base, present } => set_bits(present, *base, run),
+        }
+    }
+
+    /// The number of distinct values received. A held bucket sorts and
+    /// deduplicates its values first, so [`Bucket::write`] can copy them.
+    fn distinct(&mut self) -> usize {
+        match self {
+            Bucket::Held(held) => {
+                held.sort_unstable();
+                held.dedup();
+                held.len()
+            }
+            Bucket::Bitmap { present, .. } => {
+                present.iter().map(|bits| bits.count_ones() as usize).sum()
+            }
+        }
+    }
+
+    /// Writes the distinct values ascending into `out`, which is
+    /// [`Bucket::distinct`] long.
+    fn write(&self, out: &mut [u64]) {
+        match self {
+            Bucket::Held(held) => out.copy_from_slice(held),
+            Bucket::Bitmap { base, present } => {
+                let mut at = 0;
+                for (w, &bits) in present.iter().enumerate() {
+                    let (word, mut bits) = (base + 64 * w as u64, bits);
+                    while bits != 0 {
+                        out[at] = word + u64::from(bits.trailing_zeros());
+                        at += 1;
+                        bits &= bits - 1;
+                    }
+                }
+                assert_eq!(at, out.len(), "a bucket's range is its distinct count");
+            }
+        }
+    }
+}
+
+/// Sets the bit of each of `values` in the presence bitmap of the span
+/// from `base`.
+fn set_bits(present: &mut [u64], base: u64, values: &[u64]) {
+    for &x in values {
         // A value from another bucket falls outside the bitmap (or
         // underflows) and panics, never aliasing a bit.
         let at = x - base;
         present[(at / 64) as usize] |= 1 << (at % 64);
-    }
-    bucket.clear();
-    for (w, &bits) in present.iter().enumerate() {
-        let (word, mut bits) = (base + 64 * w as u64, bits);
-        while bits != 0 {
-            bucket.push(word + u64::from(bits.trailing_zeros()));
-            bits &= bits - 1;
-        }
     }
 }
 
@@ -216,8 +302,9 @@ fn sorted_distinct(bucket: &mut Vec<u64>) {
 /// A bucket of bit length `L ≥ 5` spans the `2^(L−5)` values from `base`
 /// (the leading one and the four bits below it fixed, the rest zero). The
 /// bitmap is used when that span takes at most one word per value, so it
-/// costs O(n) and is never larger than the bucket itself; a sparse bucket,
-/// one of bit length near 64, or one below 5 (a single value) has none.
+/// costs O(n) and is never larger than the values it replaces; a sparse
+/// bucket, one of bit length near 64, or one below 5 (a single value) has
+/// none.
 fn bitmap_span(x: u64, n: usize) -> Option<(u64, usize)> {
     let free = (64 - x.leading_zeros()).checked_sub(5)?;
     let words = (1u64 << free).div_ceil(64);
@@ -453,16 +540,15 @@ fn check_hist_stream(
 }
 
 /// Checks `dedup` on the suite sequence, whose values lie below its length
-/// (dense buckets, the bitmap path), and on a full-range copy of it, each
-/// value through `hash64` (sparse buckets of bit length near 64, the
-/// sorting path).
+/// (dense buckets, the bitmap path), and on the two inputs of
+/// [`hashed_and_mixed`].
 fn check_dedup_stream(
     i: &SuiteInputs<'_>,
     cfg: StreamConfig,
     mut inject: bool,
 ) -> Result<(), SuiteError> {
-    let full: Vec<u64> = i.seq.iter().map(|&x| hash64(x)).collect();
-    for data in [i.seq, &full] {
+    let (full, mixed) = hashed_and_mixed(i.seq);
+    for data in [i.seq, &full, &mixed] {
         let (mut out, stats) = dedup_stream(data, cfg)?;
         check_bounded("dedup", &stats)?;
         if std::mem::take(&mut inject) {
@@ -479,6 +565,16 @@ fn check_dedup_stream(
         }
     }
     Ok(())
+}
+
+/// A full-range copy of `seq`, each value through `hash64` (sparse
+/// buckets of bit length near 64, the sorting path), and `seq` interleaved
+/// with that copy: a stream that takes both paths, whose dense buckets
+/// fill at half the rate and so convert to a bitmap later in the stream.
+fn hashed_and_mixed(seq: &[u64]) -> (Vec<u64>, Vec<u64>) {
+    let full: Vec<u64> = seq.iter().map(|&x| hash64(x)).collect();
+    let mixed = seq.iter().zip(&full).flat_map(|(&x, &h)| [x, h]).collect();
+    (full, mixed)
 }
 
 fn check_bfs_stream(
@@ -585,83 +681,187 @@ mod tests {
             .collect()
     }
 
-    /// `sorted_distinct` equals `sort_unstable` + `dedup` on `bucket`,
-    /// which takes the bitmap path iff `bitmap`.
-    fn check_sorted_distinct(bucket: Vec<u64>, bitmap: bool) {
-        let (first, n) = (bucket[0], bucket.len());
-        assert!(bucket
+    /// The words `bucket` holds: its values, or its bitmap.
+    fn footprint(bucket: &Bucket) -> usize {
+        match bucket {
+            Bucket::Held(held) => held.len(),
+            Bucket::Bitmap { present, .. } => present.len(),
+        }
+    }
+
+    /// The distinct values of `bucket` ascending, as the final pass writes
+    /// them.
+    fn read_out(mut bucket: Bucket) -> Vec<u64> {
+        let mut out = vec![0; bucket.distinct()];
+        bucket.write(&mut out);
+        out
+    }
+
+    /// Folds `runs` into an empty bucket: it never holds more words than
+    /// the values it has received, ends in a bitmap iff `bitmap`, and reads
+    /// out what `sort_unstable` + `dedup` make of all it received.
+    fn check_bucket(runs: &[Vec<u64>], bitmap: bool) {
+        let mut bucket = Bucket::Held(Vec::new());
+        let mut received: Vec<u64> = Vec::new();
+        for run in runs {
+            bucket.add(run);
+            received.extend_from_slice(run);
+            assert!(footprint(&bucket) <= received.len(), "{bucket:?}");
+        }
+        let (first, n) = (received[0], received.len());
+        assert!(received
             .iter()
             .all(|&x| dedup_bucket(x) == dedup_bucket(first)));
-        assert_eq!(bitmap_span(first, n).is_some(), bitmap, "{first:#x} × {n}");
-        let mut want = bucket.clone();
-        want.sort_unstable();
-        want.dedup();
-        let mut got = bucket;
-        sorted_distinct(&mut got);
-        assert_eq!(got, want, "{first:#x} × {n}");
+        let converted = matches!(bucket, Bucket::Bitmap { .. });
+        assert_eq!(converted, bitmap, "{first:#x} × {n}");
+        received.sort_unstable();
+        received.dedup();
+        assert_eq!(read_out(bucket), received, "{first:#x} × {n}");
     }
 
     #[test]
-    fn sorted_distinct_takes_the_bitmap_at_one_word_per_value() {
+    fn a_bucket_takes_the_bitmap_at_one_word_per_value() {
         // Bit length 16: a span of 2^11 values, 32 words.
         let base = 0b1_0110 << 11;
         assert_eq!(bitmap_span(base + 5, 32), Some((base, 32)));
         for (n, bitmap) in [(31, false), (32, true), (33, true)] {
-            check_sorted_distinct(bucket_of(base, 1 << 11, n), bitmap);
+            check_bucket(&[bucket_of(base, 1 << 11, n)], bitmap);
         }
         // A bucket of bit length 5–10 spans at most one word.
         for len in 5..=10 {
             let x = (1 << (len - 1)) | 1 << (len - 5);
             assert_eq!(bitmap_span(x, 1), Some((x >> (len - 5) << (len - 5), 1)));
-            check_sorted_distinct(vec![x, x], true);
+            check_bucket(&[vec![x, x]], true);
         }
     }
 
     #[test]
-    fn sorted_distinct_sorts_the_buckets_without_a_bitmap() {
+    fn a_bucket_converts_on_the_run_that_reaches_its_span_words() {
+        for len in 5..=24u32 {
+            let free = len - 5;
+            let base = 0b1_1010 << free;
+            let words = (1usize << free).div_ceil(64);
+            let values = bucket_of(base, 1 << free, 2 * words as u64);
+            // One value a run: held up to one value short of the words.
+            let mut bucket = Bucket::Held(Vec::new());
+            for (i, &x) in values.iter().enumerate() {
+                bucket.add(&[x]);
+                let converted = matches!(bucket, Bucket::Bitmap { .. });
+                assert_eq!(
+                    converted,
+                    i + 1 >= words,
+                    "bit length {len}, {} values",
+                    i + 1
+                );
+            }
+            // Runs of 7: converts on the run whose end reaches the words.
+            let mut bucket = Bucket::Held(Vec::new());
+            for (r, run) in values.chunks(7).enumerate() {
+                bucket.add(run);
+                let converted = matches!(bucket, Bucket::Bitmap { .. });
+                assert_eq!(
+                    converted,
+                    7 * r + run.len() >= words,
+                    "bit length {len}, run {r}"
+                );
+            }
+            check_bucket(&[values], true);
+        }
+    }
+
+    #[test]
+    fn runs_straddling_the_conversion_match_sort_and_dedup() {
+        // Bit length 16 (32 words): 20 values, then a run that crosses 32,
+        // each side repeating values of the other, then a long tail.
+        let base = 0b1_0001 << 11;
+        let early = bucket_of(base, 40, 20);
+        let straddle: Vec<u64> = early.iter().map(|x| x + 3).chain(early.clone()).collect();
+        let tail = bucket_of(base, 1 << 11, 5_000);
+        check_bucket(&[early.clone(), straddle.clone()], true);
+        check_bucket(&[early.clone(), straddle, tail.clone(), early], true);
+        check_bucket(
+            &tail.chunks(3).map(<[u64]>::to_vec).collect::<Vec<_>>(),
+            true,
+        );
+        // Bit length 24: a span of 2^19 values, 8192 words, every value
+        // received once plus repeats, in one run and in runs of 1000.
+        let base = 0b1_1011 << 19;
+        let mut full: Vec<u64> = (0..1 << 19).rev().map(|i| base + i).collect();
+        full.extend(bucket_of(base, 1 << 19, 1000));
+        check_bucket(
+            &full.chunks(1000).map(<[u64]>::to_vec).collect::<Vec<_>>(),
+            true,
+        );
+        check_bucket(&[full], true);
+        // The last value of a bit length 5 bucket, the only one in it.
+        check_bucket(&[vec![0b1_1111; 4]], true);
+    }
+
+    #[test]
+    fn buckets_below_bit_length_5_or_near_64_never_convert() {
         // Bit lengths 0–4: each bucket is one value.
         for x in [0, 1, 0b11, 0b101, 0b1111] {
-            check_sorted_distinct(vec![x; 3], false);
+            check_bucket(&vec![vec![x; 250]; 4], false);
         }
-        // Bit length 64: a span of 2^59 values.
-        let top = u64::MAX << 59;
-        check_sorted_distinct(bucket_of(top, u64::MAX - top + 1, 5_000), false);
-        check_sorted_distinct(vec![u64::MAX, top, u64::MAX], false);
+        // Bit lengths 40, 63 and 64: spans of 2^35–2^59 values.
+        for top in [0b1_0000 << 35, 0b1_0111 << 58, u64::MAX << 59] {
+            let values = bucket_of(top, 1 << 35, 5_000);
+            check_bucket(
+                &values.chunks(64).map(<[u64]>::to_vec).collect::<Vec<_>>(),
+                false,
+            );
+        }
+        check_bucket(&[vec![u64::MAX, u64::MAX << 59, u64::MAX]], false);
         // A dense run at a high base is sparse in its bucket.
         let run: Vec<u64> = (0..4096).rev().map(|i| (1 << 40) + i).collect();
-        check_sorted_distinct(run, false);
+        check_bucket(&[run], false);
     }
 
     #[test]
-    fn sorted_distinct_reads_a_full_bucket_at_a_high_base() {
-        // Bit length 24: a span of 2^19 values, 8192 words, every value
-        // present once plus repeats.
-        let base = 0b1_1011 << 19;
-        let mut bucket: Vec<u64> = (0..1 << 19).rev().map(|i| base + i).collect();
-        bucket.extend(bucket_of(base, 1 << 19, 1000));
-        check_sorted_distinct(bucket, true);
-        // The last value of a bit length 5 bucket, the only one in it.
-        check_sorted_distinct(vec![0b1_1111; 4], true);
+    fn empty_and_one_chunk_streams_match_batch() {
+        let mut bucket = Bucket::Held(Vec::new());
+        bucket.add(&[]);
+        assert!(matches!(&bucket, Bucket::Held(held) if held.is_empty()));
+        assert!(read_out(bucket).is_empty());
+        let data = inputs::exponential(1_000);
+        for data in [&[][..], &data[..1], &data[..300], &data[..512]] {
+            let (got, stats) = dedup_stream(data, cfg(ChannelKind::Mpsc)).expect("stream");
+            assert_eq!(got, dedup::run_seq(data), "{} values", data.len());
+            assert_eq!(stats.items_in, data.len().div_ceil(512) as u64);
+        }
     }
 
     #[test]
-    fn the_dedup_verifier_reaches_both_paths() {
-        // The buckets of the final pass, as `check_dedup_stream` sees them
-        // at gate scale: whether each takes the bitmap.
-        let bitmaps = |data: &[u64]| -> Vec<bool> {
-            let (values, runs) = bucket_chunk(data);
-            let mut start = 0;
-            runs.into_iter()
-                .map(|(_, end)| {
-                    let n = end - std::mem::replace(&mut start, end);
-                    bitmap_span(values[end - 1], n).is_some()
-                })
-                .collect()
+    fn the_dedup_verifier_reaches_both_paths_and_a_late_conversion() {
+        // The sink's buckets as `check_dedup_stream` folds them at gate
+        // scale: how many end in a bitmap, how many hold values, and how
+        // many converted on a run after one that left them holding values.
+        let holds = |b: &Bucket| matches!(b, Bucket::Held(h) if !h.is_empty());
+        let bitmap = |b: &Bucket| matches!(b, Bucket::Bitmap { .. });
+        let fold = |data: &[u64]| -> [usize; 3] {
+            let (mut sink, mut late) = (Bucket::sink(), 0);
+            for chunk in data.chunks(DEFAULT_CHUNK) {
+                let held: Vec<bool> = sink.iter().map(holds).collect();
+                sink = fold_chunk(sink, bucket_chunk(chunk));
+                late += held
+                    .iter()
+                    .zip(&sink)
+                    .filter(|&(&h, b)| h && bitmap(b))
+                    .count();
+            }
+            let count = |p: &dyn Fn(&Bucket) -> bool| sink.iter().filter(|b| p(b)).count();
+            [count(&bitmap), count(&holds), late]
         };
         let seq = inputs::exponential(crate::Scale::gate().seq_len);
-        assert!(bitmaps(&seq).contains(&true));
-        let full: Vec<u64> = seq.iter().map(|&x| hash64(x)).collect();
-        assert!(!bitmaps(&full).contains(&true));
+        let (full, mixed) = hashed_and_mixed(&seq);
+        let [bitmaps, _, _] = fold(&seq);
+        assert!(bitmaps > 0);
+        assert_eq!(fold(&full)[0], 0);
+        let [bitmaps, held, late] = fold(&mixed);
+        assert!(
+            bitmaps > 0 && held > 0 && late > 0,
+            "{bitmaps} {held} {late}"
+        );
     }
 
     #[test]

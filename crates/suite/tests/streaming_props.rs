@@ -50,15 +50,18 @@ fn hist_stream_matches_batch() {
     });
 }
 
-/// Values for the dedup property: three cases in seven draw from `0..500`
+/// Values for the dedup property: three cases in eight draw from `0..500`
 /// (many repeats across chunks), the others from the full `u64` range,
 /// from the bucket edges `0`, `2^k − 1`, `2^k` and `u64::MAX`, from one
 /// bucket of bit length 5–22 (whose span, at most 2^17 values, is dense
-/// enough for the presence bitmap or just too sparse for it), or from a
-/// handful of values (a low-cardinality stream).
+/// enough for the presence bitmap or just too sparse for it), from a
+/// handful of values (a low-cardinality stream), or from one bucket of bit
+/// length 13–16 that is rare in the first part of the stream and fills the
+/// rest, so the sink converts it to a bitmap mid-stream when the chunks
+/// are small.
 fn arb_dedup_data(g: &mut Gen) -> Vec<u64> {
     let len = 0..2_000;
-    match g.in_range(0..7) {
+    match g.in_range(0..8) {
         0..=2 => g.vec(len, |g| g.in_range(0..500)),
         3 => g.vec(len, Gen::u64),
         4 => g.vec(len, |g| {
@@ -70,9 +73,20 @@ fn arb_dedup_data(g: &mut Gen) -> Vec<u64> {
             let base = (16 | g.in_range(0..16)) << free;
             g.vec(len, |g| base + g.in_range(0..1 << free))
         }
-        _ => {
+        6 => {
             let few = g.vec(1..18, Gen::u64);
             g.vec(len, |g| few[g.in_range(0..few.len() as u64) as usize])
+        }
+        _ => {
+            // A span of 2^8–2^11 values: 4–32 words.
+            let free = g.in_range(8..12);
+            let base = (16 | g.in_range(0..16)) << free;
+            let mut data = g.vec(0..1_000, |g| match g.in_range(0..32) {
+                0 => base + g.in_range(0..1 << free),
+                _ => g.in_range(0..32),
+            });
+            data.extend(g.vec(0..1_000, |g| base + g.in_range(0..1 << free)));
+            data
         }
     }
 }
