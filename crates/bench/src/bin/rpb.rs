@@ -1,6 +1,8 @@
 //! The `rpb` harness binary: regenerates every table and figure of the
 //! paper. See `rpb help`.
 
+#![forbid(unsafe_code)]
+
 use rpb_bench::{emit, figures, Scale, Workloads};
 use rpb_parlay::exec::set_default_backend;
 use rpb_parlay::Selector;

@@ -31,6 +31,8 @@
 //! paper's numbers and the substitutions (this machine is not a 24-core
 //! `c5.metal`; the *shape* of each comparison is the reproduction target).
 
+#![forbid(unsafe_code)]
+
 pub mod fig6;
 pub mod figures;
 pub mod gate;

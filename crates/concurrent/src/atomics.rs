@@ -43,38 +43,6 @@ pub fn write_max_u64(cell: &AtomicU64, value: u64) -> bool {
     false
 }
 
-/// Reinterprets `&mut [u64]` as `&[AtomicU64]` for a synchronization phase.
-///
-/// This is the standard (and sound) trick for the paper's `Sync` mode: the
-/// exclusive borrow proves no other references exist, and `AtomicU64` has
-/// the same size as `u64`.
-///
-/// # Panics
-///
-/// If a non-empty `slice` is not aligned for `AtomicU64`. That can happen
-/// only on targets that align `u64` to less than 8 bytes (32-bit x86, for
-/// one); on x86_64 and aarch64 every `u64` is aligned for it.
-pub fn as_atomic_u64(slice: &mut [u64]) -> &[AtomicU64] {
-    if slice.is_empty() {
-        return &[];
-    }
-    assert!(
-        aligned_for_atomic_u64(slice.as_ptr()),
-        "a u64 slice not aligned for AtomicU64"
-    );
-    // SAFETY: AtomicU64 has the size of u64, and the pointer is aligned
-    // for it (checked above) and non-null; every bit pattern is a valid
-    // atomic. The exclusive borrow guarantees we hold the only reference,
-    // and the pointer comes from `as_mut_ptr`, so stores through the view
-    // are writes that pointer is allowed to make.
-    unsafe { std::slice::from_raw_parts(slice.as_mut_ptr() as *const AtomicU64, slice.len()) }
-}
-
-/// Whether `at` may address an `AtomicU64`, an O(1) check on the address.
-fn aligned_for_atomic_u64(at: *const u64) -> bool {
-    at.cast::<AtomicU64>().is_aligned()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,32 +113,5 @@ mod tests {
         assert_eq!((min_wins, max_wins), (1, 1));
         assert_eq!(low.load(Ordering::Relaxed), 42);
         assert_eq!(high.load(Ordering::Relaxed), 42);
-    }
-
-    #[test]
-    fn atomic_view_checks_alignment() {
-        let words = [0u64; 2];
-        assert!(aligned_for_atomic_u64(words.as_ptr()));
-        // Four bytes in: a `u64` address where `u64` is 4-aligned, never
-        // an `AtomicU64` one.
-        let skewed = words.as_ptr().cast::<u8>().wrapping_add(4).cast::<u64>();
-        assert!(!aligned_for_atomic_u64(skewed));
-        assert!(as_atomic_u64(&mut []).is_empty());
-        let mut v = vec![7u64; 3];
-        assert_eq!(as_atomic_u64(&mut v)[2].load(Ordering::Relaxed), 7);
-    }
-
-    #[test]
-    fn atomic_view_round_trip() {
-        let mut v = vec![5u64; 100];
-        {
-            let a = as_atomic_u64(&mut v);
-            (0..100usize).into_par_iter().for_each(|i| {
-                write_min_u64(&a[i], i as u64);
-            });
-        }
-        for (i, &x) in v.iter().enumerate() {
-            assert_eq!(x, (i as u64).min(5));
-        }
     }
 }

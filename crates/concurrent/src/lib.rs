@@ -13,6 +13,8 @@
 //! * [`reservations`] — PBBS *deterministic reservations*
 //!   (`speculative_for`), the engine of `mis`, `mm`, and `dr`.
 
+#![forbid(unsafe_code)]
+
 pub mod atomics;
 pub mod hashtable;
 pub mod reservations;

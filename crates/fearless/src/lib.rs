@@ -42,9 +42,12 @@ pub mod pool;
 pub mod proof;
 pub mod registry;
 pub mod rng_ind;
-pub mod shared;
 pub mod snd_ind;
 pub mod taxonomy;
+
+/// The raw-pointer view and the atomic view this crate's iterators are built
+/// on, defined in `rpb-parlay` so that its counting pass shares them.
+pub use rpb_parlay::shared;
 
 pub use mode::{ExecMode, ParseExecModeError, ALL_MODES};
 pub use pool::PoolStats;

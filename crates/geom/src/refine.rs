@@ -13,9 +13,11 @@
 //!    (`ReservationStation` `write_min`s — the `AW` phase),
 //! 4. plans holding **all** their reservations win; winners are assigned
 //!    triangle/point id ranges by a prefix sum (deterministic ids),
-//! 5. winners apply their cavity retriangulations in parallel through a
-//!    raw shared view — sound because affected sets of winners are
-//!    disjoint by construction (each reserved cell has one holder).
+//! 5. winners apply their cavity retriangulations in parallel: each
+//!    writes its new point and its fresh triangles into slots carved off
+//!    for it with `split_at_mut`, and kills and patches existing triangles
+//!    through a raw shared view — sound because affected sets of winners
+//!    are disjoint by construction (each reserved cell has one holder).
 //!
 //! A priority is `hash64(triangle id)` in the high bits and the
 //! candidate's position in the low bits, as PBBS's random priorities:
@@ -234,16 +236,14 @@ pub fn refine(mesh: &mut Triangulation, params: RefineParams) -> RefineStats {
         }
         let tri_base = mesh.tris.len();
         let point_base = mesh.points.len();
-        let mut tri_offsets = Vec::with_capacity(winners.len());
-        let mut acc = tri_base;
-        for plan in &winners {
-            tri_offsets.push(acc);
-            acc += plan.cavity.boundary.len();
-        }
-        work.extend(tri_base as u32..acc as u32);
-        // 5. Apply in parallel through raw views.
+        let fresh: usize = winners.iter().map(|p| p.cavity.boundary.len()).sum();
+        work.extend(tri_base as u32..(tri_base + fresh) as u32);
+        // 5. Apply in parallel. Each winner writes its own new point and
+        // its own window of fresh triangles, carved off the new tail with
+        // `split_at_mut`; only its writes to reserved, existing triangles
+        // go through a raw view.
         mesh.tris.resize(
-            acc,
+            tri_base + fresh,
             Tri {
                 v: [0; 3],
                 nbr: [NO_TRI; 3],
@@ -253,30 +253,50 @@ pub fn refine(mesh: &mut Triangulation, params: RefineParams) -> RefineStats {
         mesh.points
             .resize(point_base + winners.len(), Point::default());
         {
-            let tris_view = SharedMutSlice::new(&mut mesh.tris);
-            let pts_view = SharedMutSlice::new(&mut mesh.points);
-            winners.par_iter().enumerate().for_each(|(w, plan)| {
-                let p_idx = (point_base + w) as u32;
-                // SAFETY: slot p_idx is written by exactly this winner.
-                unsafe { pts_view.write(p_idx as usize, plan.center) };
-                apply_cavity_raw(&tris_view, plan, p_idx, tri_offsets[w] as u32);
-            });
+            let (old_tris, mut rest) = mesh.tris.split_at_mut(tri_base);
+            let mut jobs = Vec::with_capacity(winners.len());
+            let mut base = tri_base;
+            for plan in &winners {
+                let k = plan.cavity.boundary.len();
+                let (window, tail) = rest.split_at_mut(k);
+                jobs.push((*plan, base as u32, window));
+                rest = tail;
+                base += k;
+            }
+            let old_view = SharedMutSlice::new(old_tris);
+            mesh.points[point_base..]
+                .par_iter_mut()
+                .zip(jobs.par_iter_mut())
+                .enumerate()
+                .for_each(|(w, (point, (plan, base, window)))| {
+                    *point = plan.center;
+                    let p_idx = (point_base + w) as u32;
+                    apply_cavity_raw(&old_view, window, plan, p_idx, *base);
+                });
         }
         stats.inserted += winners.len();
     }
     stats
 }
 
-/// The parallel-safe version of [`Triangulation::apply_cavity`]: all
-/// mutated triangle slots are either in the winner's reserved affected
-/// set or in its exclusively assigned fresh range.
-fn apply_cavity_raw(tris: &SharedMutSlice<'_, Tri>, plan: &Plan, p_idx: u32, base: u32) {
+/// The parallel-safe version of [`Triangulation::apply_cavity`]. The
+/// winner's fresh triangles `base..base + k` arrive as `fresh`, its own
+/// window; the triangles it kills or patches are existing ones (below the
+/// round's first fresh id) in its reserved affected set, which no other
+/// winner touches.
+fn apply_cavity_raw(
+    old: &SharedMutSlice<'_, Tri>,
+    fresh: &mut [Tri],
+    plan: &Plan,
+    p_idx: u32,
+    base: u32,
+) {
     let boundary = &plan.cavity.boundary;
     let k = boundary.len() as u32;
     // Kill the cavity.
     for &t in &plan.cavity.tris {
         // SAFETY: t is reserved by this winner.
-        unsafe { tris.get_mut(t as usize).alive = false };
+        unsafe { old.get_mut(t as usize).alive = false };
     }
     // Chain boundary cycle.
     let mut next_edge = std::collections::HashMap::with_capacity(boundary.len());
@@ -285,22 +305,19 @@ fn apply_cavity_raw(tris: &SharedMutSlice<'_, Tri>, plan: &Plan, p_idx: u32, bas
     }
     let start = boundary[0].0;
     let mut a = start;
-    for i in 0..k {
+    for (i, tri) in (0..k).zip(fresh.iter_mut()) {
         let (b, o, oslot) = next_edge[&a];
         let t_id = base + i;
         let nxt = base + (i + 1) % k;
         let prv = base + (i + k - 1) % k;
-        // SAFETY: t_id is in this winner's fresh range.
-        unsafe {
-            *tris.get_mut(t_id as usize) = Tri {
-                v: [p_idx, a, b],
-                nbr: [o, nxt, prv],
-                alive: true,
-            };
-        }
+        *tri = Tri {
+            v: [p_idx, a, b],
+            nbr: [o, nxt, prv],
+            alive: true,
+        };
         if o != NO_TRI {
             // SAFETY: o is in the reserved affected set.
-            unsafe { tris.get_mut(o as usize).nbr[oslot as usize] = t_id };
+            unsafe { old.get_mut(o as usize).nbr[oslot as usize] = t_id };
         }
         a = b;
     }

@@ -10,7 +10,6 @@ use std::ops::Range;
 
 use rpb_fearless::atomic_view;
 use rpb_parlay::scan::scan_inplace_exclusive;
-use rpb_parlay::sendptr::SendPtr;
 
 /// An unweighted directed graph in CSR form. For undirected graphs both
 /// arc directions are stored.
@@ -77,12 +76,12 @@ impl Graph {
             use std::sync::atomic::{AtomicUsize, Ordering};
             let cursors: Vec<AtomicUsize> =
                 offsets[..n].iter().map(|&o| AtomicUsize::new(o)).collect();
-            let adj_ptr = SendPtr::new(adj.as_mut_ptr());
+            // Each fetch_add hands out a unique slot of u's CSR range, so
+            // the relaxed stores never meet; the atomics only tell rustc.
+            let slots = atomic_view(&mut adj);
             edges.par_iter().for_each(|&(u, v)| {
                 let slot = cursors[u as usize].fetch_add(1, Ordering::Relaxed);
-                // SAFETY: each fetch_add returns a unique slot within u's
-                // CSR range; ranges are disjoint per the scan.
-                unsafe { adj_ptr.write(slot, v) };
+                slots[slot].store(v, Ordering::Relaxed);
             });
         }
         // Sort each adjacency list for deterministic iteration order.

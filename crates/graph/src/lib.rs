@@ -11,6 +11,8 @@
 //! | `rmat` (Chakrabarti R-MAT) | standard R-MAT, avg deg 6 | same model, reduced scale |
 //! | `road` (Full USA roads) | 2D grid + diagonals, avg deg ~2.4 | low degree, high diameter |
 
+#![forbid(unsafe_code)]
+
 pub mod csr;
 pub mod gen;
 pub mod seq;

@@ -24,6 +24,8 @@
 //! * Nothing prevents deadlock or livelock — the *implementer* of the
 //!   scheduler stays scared; the *user* of the safe API does not.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod executor;
 pub mod mq;

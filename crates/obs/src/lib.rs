@@ -40,6 +40,8 @@
 //! assert!(snap.counter("sngind_offsets_validated") >= 1024);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod counter;
 pub mod histo;
 pub mod json;

@@ -78,7 +78,7 @@ use std::ops::{Deref, Range};
 use rayon::prelude::*;
 
 use crate::scan::scan_inplace_exclusive;
-use crate::sendptr::SendPtr;
+use crate::shared::SharedMutSlice;
 use crate::slice_util::{block_range, block_size_for};
 
 /// A permutation of `0..len()`: every index below the length exactly
@@ -363,7 +363,7 @@ impl CountingPass {
         assert!(src.len() == n && dst.len() == n, "counting pass: length");
         let scanned = std::mem::take(&mut self.scanned);
         assert!(scanned, "counting pass: {}", CountingError::NotScanned);
-        let out = SendPtr::new(dst.as_mut_ptr());
+        let out = SharedMutSlice::new(&mut *dst);
         self.counts
             .par_chunks_mut(nbuckets)
             .zip(self.ends.par_chunks(nbuckets))

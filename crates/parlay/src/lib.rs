@@ -23,12 +23,21 @@
 //! * [`mod@prop`] — the seeded property-test harness the workspace's
 //!   property suites run on,
 //! * [`mod@seqdata`] — the PBBS `exponential` sequence and random permutations,
+//! * [`mod@shared`] — the workspace's one raw-pointer view
+//!   (`SharedMutSlice`) and its one atomic reinterpretation
+//!   (`atomic_view`), which `rpb-fearless` re-exports,
 //! * [`mod@slice_util`] — chunking helpers shared by the suite.
 //!
-//! Everything in this crate is *regular* parallelism in the paper's
-//! taxonomy: each primitive's task write sets are statically disjoint
-//! (`Stride` / `Block` / `D&C` patterns), so the implementations are safe
-//! Rust over Rayon with zero-cost static checks.
+//! Most of this crate is *regular* parallelism in the paper's taxonomy:
+//! each task's write set is statically disjoint (`Stride` / `Block` /
+//! `D&C`), or carved off a buffer with `split_at_mut` at scanned offsets
+//! (pack, flatten, the sample sort's buckets), so it is safe Rust over
+//! Rayon. The exceptions are few and named: [`mod@shared`] itself; the
+//! counting pass's scatter, whose destinations are data-dependent
+//! (`SngInd`) and which writes through a `SharedMutSlice`, each write
+//! bounded by its (block, bucket) range; the `set_len` that ends pack and
+//! flatten; and the radix sort's `MaybeUninit` buffer casts and AVX2
+//! digit histogram.
 
 pub mod collect_reduce;
 pub mod counting;
@@ -41,8 +50,8 @@ pub mod random;
 pub mod reduce;
 pub mod scan;
 pub mod select;
-pub mod sendptr;
 pub mod seqdata;
+pub mod shared;
 pub mod simd;
 pub mod slice_util;
 pub mod sort;

@@ -1,17 +1,20 @@
-//! Pack, filter, and flatten — regular scatter primitives built on scan.
+//! Pack, filter, and flatten — regular scatter primitives built on counts.
 //!
-//! `pack` is the PBBS idiom: a parallel count, an exclusive scan to compute
-//! destinations, then a blocked write where each block owns a contiguous
-//! destination range. The destination ranges are exactly the `RngInd`
-//! pattern, but because they are derived from a scan they are monotone by
-//! construction, so each block writes its window through a raw pointer
-//! without a run-time offset check; only the window's bounds are checked,
-//! because the closure that decides what survives is caller code.
+//! `pack` is the PBBS idiom: a parallel count, then a blocked write where
+//! each block owns the contiguous destination range that the exclusive
+//! scan of the counts gives it. The destination ranges are exactly the
+//! `RngInd` pattern, but because they come from the counts in order they
+//! tile the output by construction: the output's spare capacity is carved
+//! into one window per block with `split_at_mut` (the carving is the
+//! scan), and each block fills its own window in safe code. Only the
+//! final `set_len` is `unsafe`, and it runs after every window was
+//! checked full, because the closure that decides what survives is
+//! caller code.
 
 use rayon::prelude::*;
 
-use crate::sendptr::SendPtr;
-use crate::{scan::scan_inplace_exclusive, SEQ_THRESHOLD};
+use crate::slice_util::{block_range, carve};
+use crate::SEQ_THRESHOLD;
 
 /// Keeps `data[i]` where `flags[i]` is true, preserving order.
 ///
@@ -73,73 +76,51 @@ where
     let block = SEQ_THRESHOLD;
     let nblocks = n.div_ceil(block);
     // Count survivors per block.
-    let mut counts: Vec<usize> = (0..nblocks)
+    let counts: Vec<usize> = (0..nblocks)
         .into_par_iter()
-        .map(|b| {
-            let lo = b * block;
-            let hi = (lo + block).min(n);
-            (lo..hi).filter(|&i| f(i).is_some()).count()
-        })
+        .map(|b| block_range(n, block, b).filter(|&i| f(i).is_some()).count())
         .collect();
-    let total = scan_inplace_exclusive(&mut counts, 0, |a, b| a + b);
-    // Write pass: each block owns out[counts[b]..counts[b + 1]] (the last
-    // one up to `total`) and must fill exactly that window. The windows are
-    // disjoint by the exclusive scan, so the blocks write through a raw
-    // pointer into the spare capacity — the interior-unsafe technique
-    // Rayon's `collect_into_vec` uses — with every write checked against
-    // its window and every window checked full before `set_len`.
+    let total = counts.iter().sum();
+    // Write pass: block `b` owns the `counts[b]` slots after the earlier
+    // blocks' and must fill exactly that window; a value past the window
+    // or a slot left over panics before the output takes its length.
     let mut out: Vec<T> = Vec::with_capacity(total);
-    {
-        let out_ptr = SendPtr::new(out.as_mut_ptr());
-        (0..nblocks).into_par_iter().for_each(|b| {
-            let lo = b * block;
-            let hi = (lo + block).min(n);
-            let end = counts.get(b + 1).copied().unwrap_or(total);
-            let mut dst = counts[b];
-            for i in lo..hi {
-                if let Some(v) = f(i) {
-                    assert!(
-                        dst < end,
-                        "filter_map_indexed: f kept more values of block {b} on the write pass than on the count pass"
-                    );
-                    // SAFETY: `counts[b] <= dst < end`, block `b`'s window;
-                    // the exclusive scan makes the windows disjoint across
-                    // blocks and bounded by `total <= capacity`.
-                    unsafe { out_ptr.write(dst, v) };
-                    dst += 1;
-                }
+    carve(out.spare_capacity_mut(), counts.iter().copied())
+        .par_iter_mut()
+        .enumerate()
+        .for_each(|(b, window)| {
+            let mut slots = window.iter_mut();
+            for v in block_range(n, block, b).filter_map(&f) {
+                let Some(slot) = slots.next() else {
+                    panic!("filter_map_indexed: f kept more values of block {b} on the write pass than on the count pass");
+                };
+                slot.write(v);
             }
             assert!(
-                dst == end,
+                slots.next().is_none(),
                 "filter_map_indexed: f kept fewer values of block {b} on the write pass than on the count pass"
             );
         });
-        // SAFETY: every block filled its window (asserted above; a panic
-        // there unwinds past this line), and the windows tile `0..total`.
-        unsafe { out.set_len(total) };
-    }
+    // SAFETY: every block filled its window (asserted above; a panic there
+    // unwinds past this line), and the windows tile `0..total`.
+    unsafe { out.set_len(total) };
     out
 }
 
 /// Concatenates nested sequences in parallel (ParlayLib `flatten`).
 pub fn flatten<T: Copy + Send + Sync>(seqs: &[Vec<T>]) -> Vec<T> {
-    let mut offsets: Vec<usize> = seqs.iter().map(Vec::len).collect();
-    let total = scan_inplace_exclusive(&mut offsets, 0, |a, b| a + b);
+    let total = seqs.iter().map(Vec::len).sum();
     let mut out: Vec<T> = Vec::with_capacity(total);
-    {
-        let out_ptr = SendPtr::new(out.as_mut_ptr());
-        seqs.par_iter()
-            .zip(offsets.par_iter())
-            .for_each(|(seq, &off)| {
-                for (k, &v) in seq.iter().enumerate() {
-                    // SAFETY: block `b` writes [offsets[b], offsets[b]+len_b), a
-                    // disjoint range per the exclusive scan of the lengths.
-                    unsafe { out_ptr.write(off + k, v) };
-                }
-            });
-        // SAFETY: all `total` slots written exactly once.
-        unsafe { out.set_len(total) };
-    }
+    seqs.par_iter()
+        .zip(carve(out.spare_capacity_mut(), seqs.iter().map(Vec::len)).par_iter_mut())
+        .for_each(|(seq, window)| {
+            for (slot, &v) in window.iter_mut().zip(seq) {
+                slot.write(v);
+            }
+        });
+    // SAFETY: the windows tile `0..total`, and sequence `b` filled its
+    // window, whose length is its own.
+    unsafe { out.set_len(total) };
     out
 }
 
@@ -217,6 +198,8 @@ mod tests {
     fn flatten_preserves_order() {
         let seqs = vec![vec![1, 2], vec![], vec![3], vec![4, 5, 6]];
         assert_eq!(flatten(&seqs), vec![1, 2, 3, 4, 5, 6]);
+        let seqs = vec![vec![], vec![], vec![7], vec![8, 9], vec![], vec![]];
+        assert_eq!(flatten(&seqs), vec![7, 8, 9]);
     }
 
     #[test]

@@ -1,14 +1,18 @@
-//! [`SharedMutSlice`] — the minimal unsafe escape hatch for algorithmically
-//! independent writes.
+//! [`SharedMutSlice`] and [`atomic_view`] — the workspace's one raw-pointer
+//! view, for algorithmically independent writes.
 //!
-//! This corresponds to the paper's Listing 6(d): "unsafely dereference a
-//! pointer to write", the *scary* option. All of RPB's `Unsafe`-mode
-//! benchmark variants funnel their raw writes through this one type so the
-//! `unsafe` footprint is centralized and auditable, per Rust best practice
-//! (minimize and encapsulate unsafe code).
+//! [`SharedMutSlice`] is the paper's Listing 6(d): "unsafely dereference a
+//! pointer to write", the *scary* option. Every write whose disjointness the
+//! types cannot see goes through it: the `Unsafe` arms of the benchmarks,
+//! `rpb-fearless`'s checked and proved `SngInd`/`RngInd` iterators, the
+//! counting pass's scatter and the two patches `geom::refine` makes to
+//! reserved triangles. [`atomic_view`] is Listing 6(e), every `Sync`-mode
+//! reinterpretation of a slice as atomics. Keeping both here keeps the
+//! interior-unsafe surface in one file: no other file in the workspace
+//! implements `Send` or `Sync` by hand.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize};
 
 /// A view of `&mut [T]` that can be shared across tasks, deferring the
 /// aliasing-XOR-mutability proof to the caller.
@@ -95,21 +99,6 @@ impl<'a, T> SharedMutSlice<'a, T> {
         unsafe { self.ptr.add(i).write(value) };
     }
 
-    /// Reads element `i` (requires `T: Copy`).
-    ///
-    /// # Safety
-    /// `i < len()` and no concurrent writer to index `i`.
-    #[inline]
-    pub unsafe fn read(&self, i: usize) -> T
-    where
-        T: Copy,
-    {
-        debug_assert!(i < self.len);
-        // SAFETY: caller contract — in-bounds, initialized, no concurrent
-        // writer to `i`.
-        unsafe { *self.ptr.add(i) }
-    }
-
     /// Reinterprets a sub-range as a mutable slice.
     ///
     /// # Safety
@@ -123,23 +112,18 @@ impl<'a, T> SharedMutSlice<'a, T> {
         // from every other live borrow derived from this view.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), end - start) }
     }
-
-    /// The raw base pointer, for FFI-style call sites.
-    #[inline]
-    pub fn as_ptr(&self) -> *mut T {
-        self.ptr
-    }
 }
 
 mod sealed {
     pub trait Sealed {}
 }
 
-/// An integer whose atomic twin has its size and alignment, so a slice of
-/// one can be viewed as a slice of the other. Sealed: implemented only for
-/// the pairs [`atomic_view`] is sound for.
+/// An integer whose atomic twin has its size, so a slice of one can be
+/// viewed as a slice of the other. Sealed: implemented only for the pairs
+/// [`atomic_view`] is sound for.
 pub trait AtomicTwin: sealed::Sealed + Sized {
-    /// The atomic type of the same size and alignment.
+    /// The atomic type of the same size (and, on every target but for
+    /// `u64` on some 32-bit ones, the same alignment).
     type Atomic;
 }
 
@@ -151,38 +135,59 @@ macro_rules! atomic_twin {
         }
     )*};
 }
-atomic_twin!(u8 => AtomicU8, u32 => AtomicU32, usize => AtomicUsize);
+atomic_twin!(u8 => AtomicU8, u32 => AtomicU32, u64 => AtomicU64, usize => AtomicUsize);
 
 /// Views an exclusively borrowed slice as atomics, for a phase of relaxed
 /// stores or `fetch_add`s from many tasks: the paper's Listing 6(e),
 /// "placate rustc with atomics". Every `Sync`-mode reinterpretation in the
 /// workspace goes through this one function.
 ///
+/// # Panics
+/// If a non-empty `slice` is not aligned for `T::Atomic`. That can happen
+/// only where the atomic is more aligned than the integer: `u64` on
+/// targets that align it to 4 bytes (32-bit x86, for one). There the view
+/// checks the address once, in O(1); everywhere else the two alignments
+/// are equal, the condition is a constant and the check compiles away.
+///
 /// # Examples
 /// ```
 /// use std::sync::atomic::Ordering;
 /// let mut counts = vec![0usize; 3];
-/// let atomic = rpb_fearless::shared::atomic_view(&mut counts);
+/// let atomic = rpb_parlay::shared::atomic_view(&mut counts);
 /// atomic[1].fetch_add(2, Ordering::Relaxed);
 /// assert_eq!(counts, [0, 2, 0]);
 /// ```
 pub fn atomic_view<T: AtomicTwin>(slice: &mut [T]) -> &[T::Atomic] {
-    const {
-        assert!(std::mem::size_of::<T>() == std::mem::size_of::<T::Atomic>());
-        assert!(std::mem::align_of::<T>() == std::mem::align_of::<T::Atomic>());
+    const { assert!(std::mem::size_of::<T>() == std::mem::size_of::<T::Atomic>()) };
+    if std::mem::align_of::<T::Atomic>() > std::mem::align_of::<T>() {
+        if slice.is_empty() {
+            return &[];
+        }
+        assert!(
+            aligned_for_atomic(slice.as_ptr()),
+            "atomic_view: a slice not aligned for its atomic twin"
+        );
     }
-    // SAFETY: `T::Atomic` has `T`'s size and alignment (asserted above at
-    // compile time) and every bit pattern of `T` is a valid atomic. The
-    // exclusive borrow is the only reference to the elements for the
-    // view's lifetime, and the pointer comes from `as_mut_ptr`, so the
-    // atomics' stores are writes it may make.
+    // SAFETY: `T::Atomic` has `T`'s size (asserted above at compile time)
+    // and every bit pattern of `T` is a valid atomic. The pointer is
+    // aligned for `T::Atomic`: the atomic is no more aligned than `T`, or
+    // the address was checked above. The exclusive borrow is the only
+    // reference to the elements for the view's lifetime, and the pointer
+    // comes from `as_mut_ptr`, so the atomics' stores are writes it may
+    // make.
     unsafe { std::slice::from_raw_parts(slice.as_mut_ptr().cast::<T::Atomic>(), slice.len()) }
+}
+
+/// Whether `at` may address a `T::Atomic`, an O(1) check on the address.
+fn aligned_for_atomic<T: AtomicTwin>(at: *const T) -> bool {
+    at.cast::<T::Atomic>().is_aligned()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rayon::prelude::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn disjoint_writes_in_parallel() {
@@ -197,6 +202,20 @@ mod tests {
     }
 
     #[test]
+    fn get_mut_round_trip() {
+        let mut v = vec![1u32; 4];
+        {
+            let view = SharedMutSlice::new(&mut v);
+            // SAFETY: index 2 is in bounds, and this thread is the view's
+            // only user.
+            let slot = unsafe { view.get_mut(2) };
+            *slot = 9;
+            assert_eq!(*slot, 9);
+        }
+        assert_eq!(v, vec![1, 1, 9, 1]);
+    }
+
+    #[test]
     fn slice_mut_carves_disjoint_windows() {
         let mut v = vec![0u8; 100];
         let view = SharedMutSlice::new(&mut v);
@@ -208,6 +227,33 @@ mod tests {
         assert_eq!(v[0], 1);
         assert_eq!(v[30], 2);
         assert_eq!(v[99], 4);
+    }
+
+    #[test]
+    fn atomic_view_of_u64_checks_alignment() {
+        assert!(atomic_view::<u64>(&mut []).is_empty());
+        let words = [0u64; 2];
+        assert!(aligned_for_atomic(words.as_ptr()));
+        // Four bytes in: a `u64` address where `u64` is 4-aligned, never
+        // an `AtomicU64` one.
+        let skewed = words.as_ptr().cast::<u8>().wrapping_add(4).cast::<u64>();
+        assert!(!aligned_for_atomic(skewed));
+        let mut v = vec![7u64; 3];
+        assert_eq!(atomic_view(&mut v)[2].load(Ordering::Relaxed), 7);
+    }
+
+    #[test]
+    fn atomic_view_of_u64_round_trips() {
+        let mut v = vec![5u64; 100];
+        {
+            let a = atomic_view(&mut v);
+            (0..100usize).into_par_iter().for_each(|i| {
+                a[i].fetch_min(i as u64, Ordering::Relaxed);
+            });
+        }
+        for (i, &x) in v.iter().enumerate() {
+            assert_eq!(x, (i as u64).min(5));
+        }
     }
 
     #[test]

@@ -16,6 +16,25 @@ pub fn block_range(n: usize, block_size: usize, b: usize) -> std::ops::Range<usi
     start..end
 }
 
+/// Carves the front of `rest` into consecutive windows of the given
+/// lengths, in order: the `RngInd` chunks of a scan, made disjoint by
+/// `split_at_mut` instead of a run-time check.
+///
+/// # Panics
+/// If the lengths sum past `rest.len()`.
+pub(crate) fn carve<T>(
+    mut rest: &mut [T],
+    lens: impl ExactSizeIterator<Item = usize>,
+) -> Vec<&mut [T]> {
+    let mut windows = Vec::with_capacity(lens.len());
+    for len in lens {
+        let (head, tail) = rest.split_at_mut(len);
+        windows.push(head);
+        rest = tail;
+    }
+    windows
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,6 +16,7 @@ use rayon::prelude::*;
 
 use crate::counting::{Bounds, CountingPass};
 use crate::random::Random;
+use crate::slice_util::carve;
 
 /// Below this size, delegate to the standard library's sequential sort.
 const SEQ_CUTOFF: usize = 1 << 14;
@@ -37,15 +38,9 @@ where
 {
     // Block-on-RngInd, statically safe: the chunk list is carved off the
     // front of the buffer one boundary at a time.
-    sample_sort_with(data, cmp, |mut rest, bounds, cmp| {
-        let mut buckets: Vec<&mut [T]> = Vec::with_capacity(bounds.len() - 1);
-        for w in bounds.windows(2) {
-            let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-            buckets.push(head);
-            rest = tail;
-        }
-        buckets
-            .into_par_iter()
+    sample_sort_with(data, cmp, |grouped, bounds, cmp| {
+        carve(grouped, bounds.windows(2).map(|w| w[1] - w[0]))
+            .par_iter_mut()
             .for_each(|bucket| bucket.sort_unstable_by(cmp));
     });
 }

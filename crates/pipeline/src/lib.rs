@@ -26,6 +26,8 @@
 //! the [`pipeline`] module docs for the ownership-driven shutdown
 //! cascade and [`PipelineError::StagePanicked`] for what callers get.
 
+#![forbid(unsafe_code)]
+
 pub mod channel;
 pub mod pipeline;
 

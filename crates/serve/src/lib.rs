@@ -32,6 +32,8 @@
 //!   `serve-steady` / `serve-burst` cells hard-gate their counters.
 //! * [`cli`] — the `rpb serve` / `rpb load` subcommand grammars.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod datasets;
 pub mod farm;

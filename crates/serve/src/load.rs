@@ -5,9 +5,9 @@
 //! The self-test boots a real server on an ephemeral loopback port and
 //! drives it through the full contract: paced warmup, a steady phase that
 //! must run no run-time validation at all (the built-in jobs scatter
-//! through producer proofs, so the validation pool's hits and misses both
-//! stay flat) and record one latency sample per job on its endpoint, an
-//! over-admission burst that
+//! through producer proofs, so the validation pool's hits and misses and
+//! the count of validated offsets all stay flat) and record one latency
+//! sample per job on its endpoint, an over-admission burst that
 //! must *shed* — typed responses, never a hang or an unbounded backlog —
 //! a malformed-frame probe the connection must survive, and a clean drain
 //! whose final accounting balances.
@@ -274,11 +274,12 @@ impl SelfTestReport {
     }
 }
 
-/// The validation pool's `(hits, misses)` in a `stats` body, if it has
-/// both: a marking validation counts one of them.
-fn pool_traffic(stats: &Json) -> Option<(u64, u64)> {
+/// The validation counters `(hits, misses, validated)` in a `stats` body,
+/// if it has all three: a marking validation counts a hit or a miss, and
+/// a validation by any strategy adds its offsets to `validated`.
+fn validation_traffic(stats: &Json) -> Option<(u64, u64, u64)> {
     let count = |key| stats.get("pool")?.get(key)?.as_u64();
-    Some((count("hits")?, count("misses")?))
+    Some((count("hits")?, count("misses")?, count("validated")?))
 }
 
 /// The latency sample count of every endpoint in a `stats` body, in
@@ -333,13 +334,13 @@ pub fn self_test(backend: BackendKind, scale: Scale) -> Result<SelfTestReport, S
     // not validate at run time — the `Checked` jobs scatter through the
     // proofs of their counting pass, so the validation pool, which every
     // marking check draws on, sees neither a hit nor a miss across the
-    // phase. (`stats` reports no sort-strategy checks; the pinned steady
-    // trace's unit test counts every validated offset.)
+    // phase, and no strategy (the sort one touches no pool) validates an
+    // offset.
     const STEADY: usize = 18;
     let before = client.stats()?;
     let steady = run_paced(&mut client, STEADY)?;
     let after = client.stats()?;
-    let (pool_before, pool_after) = (pool_traffic(&before), pool_traffic(&after));
+    let (pool_before, pool_after) = (validation_traffic(&before), validation_traffic(&after));
     report.check(
         "steady_all_ok",
         steady.ok == STEADY as u64 && steady.shed == 0 && steady.errors == 0,
@@ -348,7 +349,7 @@ pub fn self_test(backend: BackendKind, scale: Scale) -> Result<SelfTestReport, S
     report.check(
         "steady_no_run_time_validation",
         pool_before.is_some() && pool_after == pool_before,
-        format!("pool (hits, misses) {pool_before:?} -> {pool_after:?}"),
+        format!("pool (hits, misses, validated) {pool_before:?} -> {pool_after:?}"),
     );
     // Every steady job is one sample of its endpoint's latency histogram,
     // the one `stats` reads its quantiles from.
@@ -471,6 +472,26 @@ mod tests {
             graph_n: 80,
             points_n: 16,
         }
+    }
+
+    #[test]
+    fn validation_traffic_needs_all_three_pool_counters() {
+        let body = |keys: &[&str]| {
+            let pool = keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| (k.to_string(), Json::from_u64(i as u64 + 1)))
+                .collect();
+            Json::Obj(vec![("pool".to_string(), Json::Obj(pool))])
+        };
+        assert_eq!(
+            validation_traffic(&body(&["hits", "misses", "validated"])),
+            Some((1, 2, 3))
+        );
+        // A body without `validated` cannot show a validation that skips
+        // the pool, so it fails the check rather than passing it.
+        assert_eq!(validation_traffic(&body(&["hits", "misses"])), None);
+        assert_eq!(validation_traffic(&Json::Obj(vec![])), None);
     }
 
     #[test]

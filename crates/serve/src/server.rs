@@ -346,7 +346,8 @@ fn submit_job(shared: &Shared, out: &WriteHalf, id: u64, kind: JobKind, mode: Ex
 }
 
 /// The `stats` endpoint's body: farm admission counters, the
-/// validation-pool counters (flat while no job validates at run time),
+/// validation counters (the pool's hits and misses, and the offsets any
+/// strategy validated; all flat while no job validates at run time),
 /// and per-endpoint SLO latency quantiles from the process-global
 /// `rpb-obs` histograms (one sample per completed job of that kind).
 fn stats_json(shared: &Shared) -> Json {
@@ -391,6 +392,10 @@ fn stats_json(shared: &Shared) -> Json {
             Json::Obj(vec![
                 ("hits".to_string(), u(p.hits)),
                 ("misses".to_string(), u(p.misses)),
+                (
+                    "validated".to_string(),
+                    u(metrics::SNGIND_OFFSETS_VALIDATED.get()),
+                ),
             ]),
         ),
         ("endpoints".to_string(), Json::Obj(endpoints)),

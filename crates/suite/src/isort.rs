@@ -17,7 +17,7 @@ use std::ops::Range;
 
 use rayon::prelude::*;
 
-use rpb_fearless::{ExecMode, ParIndProvedExt, SharedMutSlice, ValidatedOffsets};
+use rpb_fearless::{atomic_view, ExecMode, ParIndProvedExt, SharedMutSlice, ValidatedOffsets};
 use rpb_parlay::counting::{CountingPass, Permutation};
 
 use crate::error::SuiteError;
@@ -86,7 +86,7 @@ fn scatter(src: &[u64], dst: &mut [u64], dest: &Permutation, mode: ExecMode) {
             .for_each(|(slot, &x)| *slot = x),
         ExecMode::Sync => {
             use std::sync::atomic::Ordering;
-            let atomic = rpb_concurrent::atomics::as_atomic_u64(dst);
+            let atomic = atomic_view(dst);
             src.par_iter().zip(dest.par_iter()).for_each(|(&x, &d)| {
                 atomic[d].store(x, Ordering::Relaxed);
             });

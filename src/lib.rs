@@ -36,6 +36,8 @@
 //! assert_eq!(out, vec![20, 40, 10, 30]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use rpb_concurrent as concurrent;
 pub use rpb_fearless as fearless;
 pub use rpb_geom as geom;
